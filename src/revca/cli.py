@@ -24,11 +24,15 @@ def _load_mcm(path: str) -> mcm.MultCounterMachine:
         return formats.parse_mcm(fh.read())
 
 
-def _write_automaton(machine: CounterAutomaton, path: str) -> None:
+def _serialize(machine: CounterAutomaton) -> str:
     if any(not isinstance(s, str) for s in machine.states):
         machine = rename_states(machine)
+    return formats.serialize_automaton(machine)
+
+
+def _write_automaton(machine: CounterAutomaton, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(formats.serialize_automaton(machine))
+        fh.write(_serialize(machine))
 
 
 def _split_word(machine: CounterAutomaton, text: str) -> list[str]:
@@ -135,13 +139,10 @@ def cmd_example(args) -> int:
     else:
         print(f"unknown example {name!r}", file=sys.stderr)
         return 2
-    text = formats.serialize_automaton(rename_states(machine) if any(
-        not isinstance(s, str) for s in machine.states) else machine)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_automaton(machine, args.output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(_serialize(machine))
     return 0
 
 

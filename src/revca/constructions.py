@@ -14,6 +14,7 @@ Three transformations live here:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product as iproduct
 from typing import Optional
 
@@ -52,10 +53,6 @@ def _residue_vectors(c: int, k: int):
     return iproduct(range(c), repeat=k)
 
 
-def _status_vectors(k: int):
-    return iproduct((ZERO, POSITIVE), repeat=k)
-
-
 def _lift_status(residue: int, status: str) -> str:
     # original counter is zero exactly when both the residue and the stored
     # quotient are zero
@@ -73,6 +70,31 @@ def _mod_case(m: int, b: int, c: int) -> tuple[int, int]:
     return s - c, 1
 
 
+def _carry_steps(rows: list[tuple], c: int, k: int):
+    """The residue/carry kernel shared by machine and reverse-table
+    normalization.
+
+    ``rows`` holds (source statuses, source deltas, payload) triples.  For
+    every residue vector and stored-value status vector whose lifted statuses
+    match a row, yields (residues, statuses, payload, new residues, carries).
+    Combinations whose carry would decrement a zero-status counter are
+    dropped: they correspond to source steps that would drive the value
+    negative, which the model forbids.
+    """
+    for residues in _residue_vectors(c, k):
+        for statuses in iproduct((ZERO, POSITIVE), repeat=k):
+            lifted = tuple(_lift_status(m, d) for m, d in zip(residues, statuses))
+            for source, deltas, payload in rows:
+                if source != lifted:
+                    continue
+                cases = [_mod_case(m, b, c) for m, b in zip(residues, deltas)]
+                if any(d == ZERO and b < 0 for d, (_, b) in zip(statuses, cases)):
+                    continue
+                new_res = tuple(m for m, _ in cases)
+                carries = tuple(b for _, b in cases)
+                yield residues, statuses, payload, new_res, carries
+
+
 def normalize_extended(
     machine: CounterAutomaton,
     reverse: Optional[ReverseTable] = None,
@@ -81,9 +103,7 @@ def normalize_extended(
 
     States become (state, residues); a counter value x of the source is
     represented as stored value x // c with residue x % c in the state.
-    Accepting states keep every residue combination.  Combinations whose carry
-    would decrement a zero-status counter are dropped: they correspond to
-    source steps that would drive the value negative, which the model forbids.
+    Accepting states keep every residue combination.
 
     With a reverse table for the source supplied, the mirrored construction is
     applied to it and (machine, table) is returned; otherwise just the machine.
@@ -93,77 +113,32 @@ def normalize_extended(
         raise MachineError("normalize_extended needs a clean machine: " + "; ".join(defects))
     c = machine.max_delta
     k = machine.k
-    transitions = []
-    for residues in _residue_vectors(c, k):
-        for statuses in _status_vectors(k):
-            lifted = tuple(_lift_status(m, d) for m, d in zip(residues, statuses))
-            for t in machine.transitions:
-                if t.statuses != lifted:
-                    continue
-                new_res = []
-                carries = []
-                ok = True
-                for i in range(k):
-                    m2, b = _mod_case(residues[i], t.deltas[i], c)
-                    if statuses[i] == ZERO and b < 0:
-                        ok = False  # source value would go negative here
-                        break
-                    new_res.append(m2)
-                    carries.append(b)
-                if not ok:
-                    continue
-                transitions.append(
-                    Transition(
-                        (t.state, residues),
-                        t.token,
-                        statuses,
-                        (t.target, tuple(new_res)),
-                        t.move,
-                        tuple(carries),
-                    )
-                )
-    states = frozenset((q, tuple(r)) for q in machine.states for r in _residue_vectors(c, k))
-    accepting = frozenset(
-        (q, tuple(r)) for q in machine.accepting for r in _residue_vectors(c, k)
+    rows = [(t.statuses, t.deltas, t) for t in machine.transitions]
+    transitions = tuple(
+        Transition((t.state, residues), t.token, statuses, (t.target, new_res), t.move, carries)
+        for residues, statuses, t, new_res, carries in _carry_steps(rows, c, k)
     )
+    residues = list(_residue_vectors(c, k))
     out = CounterAutomaton(
-        states=states,
+        states=frozenset(iproduct(machine.states, residues)),
         alphabet=machine.alphabet,
         k=k,
-        transitions=tuple(transitions),
+        transitions=transitions,
         initial=(machine.initial, (0,) * k),
-        accepting=accepting,
+        accepting=frozenset(iproduct(machine.accepting, residues)),
         max_delta=1,
         name=f"norm({machine.name})" if machine.name else "",
     )
     if reverse is None:
         return out
-    return out, _normalize_reverse(machine, reverse, c, k)
+    return out, _normalize_reverse(reverse, c, k)
 
 
-def _normalize_reverse(machine, reverse: ReverseTable, c: int, k: int) -> ReverseTable:
-    entries: dict[tuple, ReverseStep] = {}
-    for residues in _residue_vectors(c, k):
-        for statuses in _status_vectors(k):
-            lifted = tuple(_lift_status(m, d) for m, d in zip(residues, statuses))
-            for (state, token, post), out in reverse.entries.items():
-                if post != lifted:
-                    continue
-                new_res = []
-                carries = []
-                ok = True
-                for i in range(k):
-                    m2, b = _mod_case(residues[i], out.deltas[i], c)
-                    if statuses[i] == ZERO and b < 0:
-                        ok = False
-                        break
-                    new_res.append(m2)
-                    carries.append(b)
-                if not ok:
-                    continue
-                entries[((state, residues), token, statuses)] = ReverseStep(
-                    (out.target, tuple(new_res)), out.move, tuple(carries)
-                )
+def _normalize_reverse(reverse: ReverseTable, c: int, k: int) -> ReverseTable:
+    rows = [(key[2], out.deltas, (key, out)) for key, out in reverse.entries.items()]
+    entries = {}
+    for residues, statuses, ((state, token, _post), out), new_res, carries in _carry_steps(rows, c, k):
+        entries[((state, residues), token, statuses)] = ReverseStep((out.target, new_res), out.move, carries)
     return ReverseTable(entries)
 
 
@@ -185,16 +160,7 @@ def remove_initial_left_loops(machine: CounterAutomaton) -> CounterAutomaton:
     )
     if len(keep) == len(machine.transitions):
         return machine
-    return CounterAutomaton(
-        states=machine.states,
-        alphabet=machine.alphabet,
-        k=machine.k,
-        transitions=keep,
-        initial=machine.initial,
-        accepting=machine.accepting,
-        max_delta=machine.max_delta,
-        name=machine.name,
-    )
+    return replace(machine, transitions=keep)
 
 
 def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
@@ -203,7 +169,7 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
     The input must never do more than ``ell`` consecutive stationary moves in
     an accepting computation.  Stage one normalizes with c = ell + 1, whose
     residue components give every state exact knowledge of counter values
-    below c; stage two replays, from every (state, token, statuses) seed, the
+    below c; stage two replays, from every key of the normalized table, the
     maximal stationary run plus one moving step and emits it as a single
     extended transition (a halting run stays stationary and is emitted with
     the deltas gathered so far).  Normalizing the macro machine again yields
@@ -222,61 +188,30 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
     if ell == 0:
         return machine
     c = ell + 1
-    base = CounterAutomaton(
-        states=machine.states,
-        alphabet=machine.alphabet,
-        k=machine.k,
-        transitions=machine.transitions,
-        initial=machine.initial,
-        accepting=machine.accepting,
-        max_delta=c,  # deltas stay within 1; room for the macro-step deltas
-        name=machine.name,
-    )
-    norm = restrict_to_reachable(normalize_extended(base))
+    # deltas stay within 1; max_delta c leaves room for the macro-step deltas
+    norm = restrict_to_reachable(normalize_extended(replace(machine, max_delta=c)))
     norm = remove_initial_left_loops(norm)
 
     macro_transitions = []
-    tokens = sorted(machine.alphabet) + ["<", ">"]
-    k = machine.k
-    for state in norm.states:
-        for token in tokens:
-            for statuses in _status_vectors(k):
-                macro = _macro_step(norm, state, token, statuses, ell)
-                if macro is not None:
-                    target, move, deltas = macro
-                    macro_transitions.append(
-                        Transition(state, token, statuses, target, move, deltas)
-                    )
-    macro_machine = CounterAutomaton(
-        states=norm.states,
-        alphabet=machine.alphabet,
-        k=k,
+    for t in norm.transitions:
+        target, move, deltas = _macro_step(norm, t.state, t.token, t.statuses, ell)
+        macro_transitions.append(Transition(t.state, t.token, t.statuses, target, move, deltas))
+    macro_machine = replace(
+        norm,
         transitions=tuple(macro_transitions),
-        initial=norm.initial,
-        accepting=norm.accepting,
         max_delta=c,
         name=f"macro({machine.name})" if machine.name else "",
     )
-    macro_machine = restrict_to_reachable(macro_machine)
-    out = restrict_to_reachable(normalize_extended(macro_machine))
-    return CounterAutomaton(
-        states=out.states,
-        alphabet=out.alphabet,
-        k=out.k,
-        transitions=out.transitions,
-        initial=out.initial,
-        accepting=out.accepting,
-        max_delta=1,
-        name=f"rt({machine.name})" if machine.name else "",
-    )
+    out = restrict_to_reachable(normalize_extended(restrict_to_reachable(macro_machine)))
+    return replace(out, name=f"rt({machine.name})" if machine.name else "")
 
 
 def _macro_step(norm, state, token, statuses, ell):
-    """Replay one macro-step of the normalized machine from a seed.
+    """Replay one macro-step of the normalized machine from a seed, which is
+    a key of its table.
 
-    Returns (target, move, total deltas) or None when the seed has no
-    transition at all.  Raises when the stationary run exceeds ell, which
-    contradicts the quasi-real-time premise.
+    Returns (target, move, total deltas).  Raises when the stationary run
+    exceeds ell, which contradicts the quasi-real-time premise.
     """
     counters = tuple(1 if s == POSITIVE else 0 for s in statuses)
     current = state
@@ -285,8 +220,6 @@ def _macro_step(norm, state, token, statuses, ell):
     while True:
         t = norm.table.get((current, token, status_of(counters)))
         if t is None:
-            if stationary == 0:
-                return None
             return current, 0, tuple(total)
         counters = tuple(v + d for v, d in zip(counters, t.deltas))
         for i, d in enumerate(t.deltas):
@@ -315,39 +248,25 @@ def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterA
         raise AlphabetMismatchError(
             f"alphabets differ: {sorted(m1.alphabet)} vs {sorted(m2.alphabet)}"
         )
-    tokens = sorted(m1.alphabet) + ["<", ">"]
     initial = (m1.initial, m2.initial)
     seen = {initial}
     frontier = [initial]
     transitions = []
     while frontier:
         pair = frontier.pop()
-        s1, s2 = pair
-        for token in tokens:
-            for d1 in _status_vectors(m1.k):
-                t1 = m1.table.get((s1, token, d1))
-                if t1 is None:
+        for t1 in m1.outgoing.get(pair[0], ()):
+            for t2 in m2.outgoing.get(pair[1], ()):
+                if t1.token != t2.token:
                     continue
-                for d2 in _status_vectors(m2.k):
-                    t2 = m2.table.get((s2, token, d2))
-                    if t2 is None:
-                        continue
-                    if t1.move != t2.move:
-                        raise MoveDisagreementError(t1, t2)
-                    target = (t1.target, t2.target)
-                    transitions.append(
-                        Transition(
-                            pair,
-                            token,
-                            d1 + d2,
-                            target,
-                            t1.move,
-                            t1.deltas + t2.deltas,
-                        )
-                    )
-                    if target not in seen:
-                        seen.add(target)
-                        frontier.append(target)
+                if t1.move != t2.move:
+                    raise MoveDisagreementError(t1, t2)
+                target = (t1.target, t2.target)
+                transitions.append(
+                    Transition(pair, t1.token, t1.statuses + t2.statuses, target, t1.move, t1.deltas + t2.deltas)
+                )
+                if target not in seen:
+                    seen.add(target)
+                    frontier.append(target)
     accepting = frozenset(
         p for p in seen if p[0] in m1.accepting and p[1] in m2.accepting
     )

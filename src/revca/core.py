@@ -11,7 +11,7 @@ transition) in an accepting state.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
 from typing import Any, Iterable, NamedTuple, Optional
@@ -104,7 +104,8 @@ class CounterAutomaton:
     """One-way counter automaton with a partial deterministic transition table.
 
     ``transitions`` keeps declaration order (handy for table fidelity tests);
-    lookups go through the cached ``table``.  Ordinary machines have
+    lookups go through the cached ``table``, and ``outgoing`` lists each
+    state's transitions in that order.  Ordinary machines have
     ``max_delta`` 1; larger per-step counter changes are allowed for the
     extended machines that the normalization construction removes.
     """
@@ -121,6 +122,13 @@ class CounterAutomaton:
     @cached_property
     def table(self) -> dict[tuple[State, Token, StatusVector], Transition]:
         return {t.key: t for t in self.transitions}
+
+    @cached_property
+    def outgoing(self) -> dict[State, list[Transition]]:
+        index: dict[State, list[Transition]] = {}
+        for t in self.transitions:
+            index.setdefault(t.state, []).append(t)
+        return index
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CounterAutomaton):
@@ -336,12 +344,9 @@ def reachable_states(machine: CounterAutomaton) -> set:
     """States reachable when counter statuses are treated as unconstrained."""
     seen = {machine.initial}
     frontier = [machine.initial]
-    by_state: dict[State, list[Transition]] = {}
-    for t in machine.transitions:
-        by_state.setdefault(t.state, []).append(t)
     while frontier:
         st = frontier.pop()
-        for t in by_state.get(st, ()):
+        for t in machine.outgoing.get(st, ()):
             if t.target not in seen:
                 seen.add(t.target)
                 frontier.append(t.target)
@@ -350,15 +355,11 @@ def reachable_states(machine: CounterAutomaton) -> set:
 
 def restrict_to_reachable(machine: CounterAutomaton) -> CounterAutomaton:
     live = reachable_states(machine)
-    return CounterAutomaton(
+    return replace(
+        machine,
         states=frozenset(live),
-        alphabet=machine.alphabet,
-        k=machine.k,
         transitions=tuple(t for t in machine.transitions if t.state in live),
-        initial=machine.initial,
         accepting=frozenset(s for s in machine.accepting if s in live),
-        max_delta=machine.max_delta,
-        name=machine.name,
     )
 
 
@@ -368,13 +369,9 @@ def rename_states(machine: CounterAutomaton, prefix: str = "s") -> CounterAutoma
     constructed machines carry tuple-shaped states."""
     order = [machine.initial]
     seen = {machine.initial}
-    by_state: dict[State, list[Transition]] = {}
-    for t in machine.transitions:
-        by_state.setdefault(t.state, []).append(t)
     i = 0
     while i < len(order):
-        outgoing = sorted(by_state.get(order[i], ()), key=lambda t: (t.token, t.statuses))
-        for t in outgoing:
+        for t in sorted(machine.outgoing.get(order[i], ()), key=lambda t: (t.token, t.statuses)):
             if t.target not in seen:
                 seen.add(t.target)
                 order.append(t.target)
@@ -382,16 +379,13 @@ def rename_states(machine: CounterAutomaton, prefix: str = "s") -> CounterAutoma
     for st in sorted(machine.states - seen, key=repr):
         order.append(st)
     names = {st: f"{prefix}{n}" for n, st in enumerate(order)}
-    return CounterAutomaton(
+    return replace(
+        machine,
         states=frozenset(names.values()),
-        alphabet=machine.alphabet,
-        k=machine.k,
         transitions=tuple(
             Transition(names[t.state], t.token, t.statuses, names[t.target], t.move, t.deltas)
             for t in machine.transitions
         ),
         initial=names[machine.initial],
         accepting=frozenset(names[s] for s in machine.accepting),
-        max_delta=machine.max_delta,
-        name=machine.name,
     )

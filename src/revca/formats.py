@@ -32,8 +32,31 @@ def _content_lines(text: str):
             yield no, line
 
 
+_Header = dict[str, list[tuple[int, list[str]]]]
+
+
+def _header(header: _Header, tag: str, count: int | None = None, required: bool = True):
+    """(line number, values) of the single ``tag`` header line.
+
+    A missing required line, a repeated line, or a value count other than
+    ``count`` (when given) is a FormatError; an absent optional line reads as
+    (0, []).
+    """
+    lines = header.get(tag, [])
+    if len(lines) > 1:
+        raise FormatError(lines[1][0], f"repeated {tag!r} line")
+    if not lines:
+        if required:
+            raise FormatError(0, f"missing {tag!r} line")
+        return 0, []
+    no, values = lines[0]
+    if count is not None and len(values) != count:
+        raise FormatError(no, f"{tag!r} line needs exactly {count} value(s), got {len(values)}")
+    return no, values
+
+
 def parse_automaton(text: str) -> CounterAutomaton:
-    header: dict[str, list[str]] = {}
+    header: _Header = {}
     transitions = []
     k = None
     for no, line in _content_lines(text):
@@ -61,46 +84,36 @@ def parse_automaton(text: str) -> CounterAutomaton:
                 raise FormatError(no, f"expected {k} deltas, got {len(ds)}")
             transitions.append(Transition(state, token, statuses, target, int(move), ds))
         else:
-            header.setdefault(tag, []).append(line)
+            header.setdefault(tag, []).append((no, fields[1:]))
             if tag == "counters":
                 try:
                     k = int(fields[1])
                 except (IndexError, ValueError):
                     raise FormatError(no, "counters line needs an integer")
 
-    def one(tag: str, required: bool = True) -> list[str]:
-        lines = header.get(tag, [])
-        if required and not lines:
-            raise FormatError(0, f"missing {tag!r} line")
-        if len(lines) > 1:
-            raise FormatError(0, f"repeated {tag!r} line")
-        return lines
-
-    version = one("revca-format")[0].split()
-    if version[1:] != ["1"]:
-        raise FormatError(0, f"unsupported format version {version[1:]}")
+    no, version = _header(header, "revca-format")
+    if version != ["1"]:
+        raise FormatError(no, f"unsupported format version {version}")
     if k is None:
         raise FormatError(0, "missing 'counters' line")
     max_delta = 1
-    md = one("maxdelta", required=False)
+    no, md = _header(header, "maxdelta", 1, required=False)
     if md:
-        max_delta = int(md[0].split()[1])
-    alphabet = one("alphabet")[0].split()[1:]
+        try:
+            max_delta = int(md[0])
+        except ValueError:
+            raise FormatError(no, f"maxdelta {md[0]!r} is not an integer")
+    no, alphabet = _header(header, "alphabet")
     for token in alphabet:
         if token in (LEFT_END, RIGHT_END):
-            raise FormatError(0, f"endmarker {token!r} cannot be an alphabet token")
-    states = one("states")[0].split()[1:]
-    initial = one("initial")[0].split()
-    if len(initial) != 2:
-        raise FormatError(0, "initial line needs exactly one state")
-    accepting = one("accepting")[0].split()[1:]
+            raise FormatError(no, f"endmarker {token!r} cannot be an alphabet token")
     machine = CounterAutomaton(
-        states=frozenset(states),
+        states=frozenset(_header(header, "states")[1]),
         alphabet=frozenset(alphabet),
         k=k,
         transitions=tuple(transitions),
-        initial=initial[1],
-        accepting=frozenset(accepting),
+        initial=_header(header, "initial", 1)[1][0],
+        accepting=frozenset(_header(header, "accepting")[1]),
         max_delta=max_delta,
     )
     defects = validate(machine)
@@ -136,7 +149,7 @@ def serialize_automaton(machine: CounterAutomaton) -> str:
 
 
 def parse_mcm(text: str) -> MultCounterMachine:
-    header: dict[str, list[str]] = {}
+    header: _Header = {}
     rules = []
     for no, line in _content_lines(text):
         fields = line.split()
@@ -150,19 +163,14 @@ def parse_mcm(text: str) -> MultCounterMachine:
                 raise FormatError(no, f"bad multiplicand {mult!r}")
             rules.append((q, m, p, rr))
         else:
-            header.setdefault(fields[0], []).append(line)
+            header.setdefault(fields[0], []).append((no, fields[1:]))
 
-    def one(tag: str) -> str:
-        lines = header.get(tag, [])
-        if len(lines) != 1:
-            raise FormatError(0, f"need exactly one {tag!r} line")
-        return lines[0]
-
-    if one("mcm-format").split()[1:] != ["1"]:
-        raise FormatError(0, "unsupported mcm format version")
-    states = one("states").split()[1:]
-    initial = one("initial").split()[1]
-    final = one("final").split()[1]
+    no, version = _header(header, "mcm-format")
+    if version != ["1"]:
+        raise FormatError(no, "unsupported mcm format version")
+    states = _header(header, "states")[1]
+    initial = _header(header, "initial", 1)[1][0]
+    final = _header(header, "final", 1)[1][0]
     try:
         return make_mcm(rules, initial=initial, final=final, states=states)
     except McmError as exc:

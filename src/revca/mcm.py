@@ -119,26 +119,25 @@ def mcm_step(machine: MultCounterMachine, cfg: McmConfig) -> Optional[McmConfig]
 
 
 def mcm_run(machine: MultCounterMachine, i: int, fuel: int = 1_000) -> McmRun:
-    """Run from the doubled-up start register 2**i, tracing every configuration."""
+    """Run from the doubled-up start register 2**i, tracing every configuration.
+
+    ``fuel`` bounds applied steps; a machine that halts after exactly ``fuel``
+    steps still gets its halting status."""
     if i < 0 or fuel < 0:
         raise ValueError("i and fuel must be non-negative")
     cfg = McmConfig(machine.initial, 2**i)
     trace = [cfg]
-    for _ in range(fuel):
+    while True:
         nxt = mcm_step(machine, cfg)
         if nxt is None:
             status = (
                 McmStatus.HALTED_FINAL if cfg.state == machine.final else McmStatus.HALTED_STUCK
             )
             return McmRun(status, trace)
+        if len(trace) > fuel:
+            return McmRun(McmStatus.FUEL_EXHAUSTED, trace)
         cfg = nxt
         trace.append(cfg)
-    if mcm_step(machine, cfg) is None:
-        status = (
-            McmStatus.HALTED_FINAL if cfg.state == machine.final else McmStatus.HALTED_STUCK
-        )
-        return McmRun(status, trace)
-    return McmRun(McmStatus.FUEL_EXHAUSTED, trace)
 
 
 def encode_string(text: str) -> int:

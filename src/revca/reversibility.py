@@ -9,6 +9,7 @@ read, so backward entries are keyed on the token the forward step consumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -87,20 +88,36 @@ def feasible_post_statuses(status: str, delta: int) -> tuple[str, ...]:
     return (ZERO, POSITIVE)
 
 
-def _derive(machine: CounterAutomaton) -> ReversibilityVerdict:
+def _post_statuses(t: Transition):
+    """Every status vector observable right after ``t`` fires; none at all
+    when ``t`` is statically inapplicable (a decrement on zero)."""
+    return product(*(feasible_post_statuses(s, d) for s, d in zip(t.statuses, t.deltas)))
+
+
+def derive_reverse(machine: CounterAutomaton) -> ReversibilityVerdict:
+    """Mechanically invert the forward table, or report why that fails.
+
+    Every forward entry is mirrored at each post-step status vector it can
+    produce; identical collisions merge (the live counter value disambiguates
+    at run time), differing ones are conflicts.  Restricted to ordinary
+    machines; extended ones go through the normalization construction first.
+    """
+    if machine.max_delta > 1:
+        raise ExtendedDeltaError(
+            f"max_delta {machine.max_delta}: normalize extended machines before deriving"
+        )
+    return derive_reverse_any(machine)
+
+
+def derive_reverse_any(machine: CounterAutomaton) -> ReversibilityVerdict:
+    """Derivation without the max_delta guard, for internal construction use."""
     entries: dict[tuple, ReverseStep] = {}
     origin: dict[tuple, Transition] = {}
     conflicts: list[Conflict] = []
     for t in machine.transitions:
-        options = [feasible_post_statuses(s, d) for s, d in zip(t.statuses, t.deltas)]
-        if any(not o for o in options):
-            continue  # statically inapplicable (decrement on zero)
         reverse = ReverseStep(t.state, -t.move, tuple(-d for d in t.deltas))
-        post_vectors = [()]
-        for opts in options:
-            post_vectors = [v + (o,) for v in post_vectors for o in opts]
-        for post in post_vectors:
-            key = (t.target, t.token, tuple(post))
+        for post in _post_statuses(t):
+            key = (t.target, t.token, post)
             if key in entries:
                 if entries[key] != reverse:
                     conflicts.append(Conflict("preimage", key, origin[key], t))
@@ -119,26 +136,6 @@ def _derive(machine: CounterAutomaton) -> ReversibilityVerdict:
     if conflicts:
         return ReversibilityVerdict(None, conflicts)
     return ReversibilityVerdict(ReverseTable(entries))
-
-
-def derive_reverse(machine: CounterAutomaton) -> ReversibilityVerdict:
-    """Mechanically invert the forward table, or report why that fails.
-
-    Every forward entry is mirrored at each post-step status vector it can
-    produce; identical collisions merge (the live counter value disambiguates
-    at run time), differing ones are conflicts.  Restricted to ordinary
-    machines; extended ones go through the normalization construction first.
-    """
-    if machine.max_delta > 1:
-        raise ExtendedDeltaError(
-            f"max_delta {machine.max_delta}: normalize extended machines before deriving"
-        )
-    return _derive(machine)
-
-
-def derive_reverse_any(machine: CounterAutomaton) -> ReversibilityVerdict:
-    """Derivation without the max_delta guard, for internal construction use."""
-    return _derive(machine)
 
 
 def step_back(
@@ -259,14 +256,8 @@ def _stationary_cycles(machine: CounterAutomaton) -> list[str]:
     edges: dict[tuple, list[tuple]] = {}
     keys = {t.key for t in stationary}
     for t in stationary:
-        options = [feasible_post_statuses(s, d) for s, d in zip(t.statuses, t.deltas)]
-        if any(not o for o in options):
-            continue
-        posts = [()]
-        for opts in options:
-            posts = [v + (o,) for v in posts for o in opts]
-        for post in posts:
-            nxt = (t.target, t.token, tuple(post))
+        for post in _post_statuses(t):
+            nxt = (t.target, t.token, post)
             if nxt in keys:
                 edges.setdefault(t.key, []).append(nxt)
     advisories = []

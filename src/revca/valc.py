@@ -37,16 +37,12 @@ class NotAcceptingError(MachineError):
     pass
 
 
-def _ell_str(ell: Fraction) -> str:
-    return str(ell)
-
-
 def lead_token(state: str, ell: Fraction) -> str:
-    return f"[{state}|l={_ell_str(ell)}]"
+    return f"[{state}|l={ell}]"
 
 
 def trail_token(state: str, ell: Fraction, phi: int) -> str:
-    return f"[{state}|l={_ell_str(ell)}|p={phi}]"
+    return f"[{state}|l={ell}|p={phi}]"
 
 
 @dataclass(frozen=True)
@@ -132,14 +128,7 @@ def _annotate(machine: MultCounterMachine, i: int, fuel: int):
         configs.append((final_state, final_n))
         ells.append(Fraction(1))
 
-    phis = []
-    for j in range(len(configs) - 1):
-        state, n = configs[j]
-        rule = rule_map.get(state)
-        if rule is not None and rule.mult < 1:
-            phis.append(n % int(1 / rule.mult))
-        else:
-            phis.append(0)
+    phis = [n % (_divisor(machine, state) or 1) for state, n in configs[:-1]]
     phis.append(None)  # the final block repeats its lead token instead
     return configs, ells, phis
 
@@ -296,11 +285,11 @@ def _lead_ells(machine: MultCounterMachine) -> dict[str, list[Fraction]]:
     return {s: sorted(v) for s, v in table.items()}
 
 
-def _phi_values(machine: MultCounterMachine, state: str) -> list[int]:
+def _divisor(machine: MultCounterMachine, state: str) -> Optional[int]:
+    """Divisor of the rule in ``state`` when its multiplicand divides, else
+    None; a block closing in ``state`` carries its register modulo it."""
     rule = machine.rule_map.get(state)
-    if rule is not None and rule.mult < 1:
-        return list(range(int(1 / rule.mult)))
-    return [0]
+    return int(1 / rule.mult) if rule is not None and rule.mult < 1 else None
 
 
 def valc_alphabet(machine: MultCounterMachine) -> list[str]:
@@ -311,7 +300,7 @@ def valc_alphabet(machine: MultCounterMachine) -> list[str]:
         for ell in ells[state]:
             tokens.append(lead_token(state, ell))
             if state != machine.final:
-                for phi in _phi_values(machine, state):
+                for phi in range(_divisor(machine, state) or 1):
                     tokens.append(trail_token(state, ell, phi))
     return tokens
 
@@ -358,25 +347,12 @@ def build_valc_part_slow(machine: MultCounterMachine, part: int) -> CounterAutom
     def add(state, token, status, target, move, delta):
         transitions.append((state, token, (status,), target, move, (delta,)))
 
-    def a_states(state: str, ell: Fraction):
-        """A-side states for a config block headed by (state, ell)."""
-        rule = rule_map.get(state)
-        mod = int(1 / rule.mult) if rule is not None and rule.mult < 1 else None
-        return rule, mod
-
     # --- block-opening expectations -------------------------------------
     expA = ("expA",)
 
-    def wire_config_A(state: str, ell: Fraction, entry, entry_token, entry_status):
-        """Entry into the A-side of a config block from ``entry`` reading the
-        lead token; shared between the generic expectation and part-specific
-        first-block states."""
-        a0 = ("A0", state, ell)
-        add(entry, entry_token, entry_status, a0, 1, 0)
-
     # generic A-machinery per (state, ell)
     def emit_config_A(state: str, ell: Fraction):
-        rule, mod = a_states(state, ell)
+        rule, mod = rule_map.get(state), _divisor(machine, state)
         a0 = ("A0", state, ell)
         steps = range(mod) if mod else (None,)
         # first letter is absorbed into the state, later ones hit the counter
@@ -418,7 +394,7 @@ def build_valc_part_slow(machine: MultCounterMachine, part: int) -> CounterAutom
         if kind == "cfg":
             _, state, ell = bctx
             return [
-                (trail_token(state, ell, phi), expA) for phi in _phi_values(machine, state)
+                (trail_token(state, ell, phi), expA) for phi in range(_divisor(machine, state) or 1)
             ]
         if kind == "fprime":
             return [(trail_token(fprime, bctx[1], 0), expA)]
@@ -478,7 +454,7 @@ def build_valc_part_slow(machine: MultCounterMachine, part: int) -> CounterAutom
     # expectations after an A block
     exp_states = set()
     for s, ell in config_heads:
-        rule, mod = a_states(s, ell)
+        rule = rule_map.get(s)
         if s == fprime:
             exp_states.add(("expBdup",))
             continue
@@ -513,7 +489,7 @@ def build_valc_part_slow(machine: MultCounterMachine, part: int) -> CounterAutom
     # generic next-pair expectation
     add(expA, PREFIX, Z, ("PA0",), 1, 0)
     for s, ell in config_heads:
-        wire_config_A(s, ell, expA, lead_token(s, ell), Z)
+        add(expA, lead_token(s, ell), Z, ("A0", s, ell), 1, 0)
         emit_config_A(s, ell)
 
     # prefix blocks as the checked pair's first half
@@ -536,7 +512,7 @@ def build_valc_part_slow(machine: MultCounterMachine, part: int) -> CounterAutom
         add(("FA0",), MARKED, Z, ("FA1",), 1, 0)
         add(("FA1",), PREFIX, Z, expB_pfx, 1, 0)
         add(("expA1",), lead_token(q0, Fraction(2)), Z, ("FA0c",), 1, 0)
-        rule, mod = a_states(q0, Fraction(2))
+        mod = _divisor(machine, q0)
         add(("FA0c",), MARKED, Z, ("A1", q0, Fraction(2), 1 % mod if mod else None), 1, 0)
     else:
         add(("start",), "<", Z, ("I0",), 1, 0)

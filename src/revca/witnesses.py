@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import replace
 from functools import reduce
 
 from .core import CounterAutomaton, MachineError, make_automaton
@@ -181,55 +182,34 @@ def build_eq_ab() -> CounterAutomaton:
 
     A difference of one is held in the state (q_a: surplus a, q_b: surplus b)
     and only larger differences reach the counter, which is what makes the
-    table invertible.
+    table invertible.  This is the balance factor for a against b.
     """
-    Z, P = "Z", "P"
-    transitions = [
-        ("q0", "<", Z, "q1", 1, (0,)),   # (1)
-        ("q1", "a", Z, "qa", 1, (0,)),   # (2)
-        ("q1", "b", Z, "qb", 1, (0,)),   # (3)
-        ("q1", ">", Z, "qf", 0, (0,)),   # (4)
-        ("qa", "a", Z, "qa", 1, (1,)),   # (5)
-        ("qa", "b", Z, "q1", 1, (0,)),   # (6)
-        ("qa", "a", P, "qa", 1, (1,)),   # (7)
-        ("qa", "b", P, "qa", 1, (-1,)),  # (8)
-        ("qb", "a", Z, "q1", 1, (0,)),   # (9)
-        ("qb", "b", Z, "qb", 1, (1,)),   # (10)
-        ("qb", "a", P, "qb", 1, (-1,)),  # (11)
-        ("qb", "b", P, "qb", 1, (1,)),   # (12)
-    ]
-    return make_automaton(
-        transitions,
-        initial="q0",
-        accepting=["qf"],
-        k=1,
-        alphabet={"a", "b"},
-        name="eq-ab",
-    )
+    return build_balance_factor("ab", "b")
 
 
 LETTERS = "abcdefghij"
 
 
 def build_balance_factor(alphabet: str, other: str) -> CounterAutomaton:
-    """Example-1 scheme comparing counts of the first alphabet letter against
-    ``other``; every remaining letter is read and ignored."""
+    """Example-1 scheme, transitions (1)-(12), comparing counts of the first
+    alphabet letter against ``other``; every remaining letter is read and
+    ignored."""
     first = alphabet[0]
     ignored = [ch for ch in alphabet if ch not in (first, other)]
     Z, P = "Z", "P"
     transitions = [
-        ("q0", "<", Z, "q1", 1, (0,)),
-        ("q1", first, Z, "qa", 1, (0,)),
-        ("q1", other, Z, "qb", 1, (0,)),
-        ("q1", ">", Z, "qf", 0, (0,)),
-        ("qa", first, Z, "qa", 1, (1,)),
-        ("qa", other, Z, "q1", 1, (0,)),
-        ("qa", first, P, "qa", 1, (1,)),
-        ("qa", other, P, "qa", 1, (-1,)),
-        ("qb", first, Z, "q1", 1, (0,)),
-        ("qb", other, Z, "qb", 1, (1,)),
-        ("qb", first, P, "qb", 1, (-1,)),
-        ("qb", other, P, "qb", 1, (1,)),
+        ("q0", "<", Z, "q1", 1, (0,)),        # (1)
+        ("q1", first, Z, "qa", 1, (0,)),      # (2)
+        ("q1", other, Z, "qb", 1, (0,)),      # (3)
+        ("q1", ">", Z, "qf", 0, (0,)),        # (4)
+        ("qa", first, Z, "qa", 1, (1,)),      # (5)
+        ("qa", other, Z, "q1", 1, (0,)),      # (6)
+        ("qa", first, P, "qa", 1, (1,)),      # (7)
+        ("qa", other, P, "qa", 1, (-1,)),     # (8)
+        ("qb", first, Z, "q1", 1, (0,)),      # (9)
+        ("qb", other, Z, "qb", 1, (1,)),      # (10)
+        ("qb", first, P, "qb", 1, (-1,)),     # (11)
+        ("qb", other, P, "qb", 1, (1,)),      # (12)
     ]
     for state in ("q1", "qa", "qb"):
         for ch in ignored:
@@ -253,14 +233,4 @@ def build_balanced(k: int) -> CounterAutomaton:
         raise ValueError("k must be at least 2")
     alphabet = LETTERS[:k]
     factors = [build_balance_factor(alphabet, alphabet[i]) for i in range(1, k)]
-    machine = reduce(product_intersection, factors)
-    return CounterAutomaton(
-        states=machine.states,
-        alphabet=machine.alphabet,
-        k=machine.k,
-        transitions=machine.transitions,
-        initial=machine.initial,
-        accepting=machine.accepting,
-        max_delta=machine.max_delta,
-        name=f"balanced-{k}",
-    )
+    return replace(reduce(product_intersection, factors), name=f"balanced-{k}")

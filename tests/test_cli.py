@@ -205,3 +205,31 @@ def test_cli_bad_file_exit_2(tmp_path, capsys):
 def test_cli_missing_file_exit_2(capsys):
     assert main(["run", "no/such/file.rca", "a"]) == 2
     capsys.readouterr()
+
+
+EQ_AB_TEXT = (MACHINES / "eq_ab.rca").read_text()
+DOUBLE_TEXT = (MACHINES / "double.mcm").read_text()
+
+
+@pytest.mark.parametrize(
+    "suffix, original, old, new, line",
+    [
+        (".rca", EQ_AB_TEXT, "counters 1\n", "counters 1\nmaxdelta\n", 3),
+        (".rca", EQ_AB_TEXT, "counters 1\n", "counters 1\nmaxdelta x\n", 3),
+        (".rca", EQ_AB_TEXT, "initial q0\n", "initial\n", 5),
+        (".rca", EQ_AB_TEXT, "revca-format 1\n", "revca-format\n", 1),
+        (".mcm", DOUBLE_TEXT, "initial q0\n", "initial\n", 3),
+        (".mcm", DOUBLE_TEXT, "final qf\n", "final\n", 4),
+        (".mcm", DOUBLE_TEXT, "mcm-format 1\n", "mcm-format\n", 1),
+    ],
+    ids=["maxdelta-empty", "maxdelta-not-int", "initial-empty", "version-empty",
+         "mcm-initial-empty", "mcm-final-empty", "mcm-version-empty"],
+)
+def test_cli_malformed_header_exit_2(tmp_path, capsys, suffix, original, old, new, line):
+    text = original.replace(old, new, 1)
+    assert text != original
+    path = tmp_path / f"bad{suffix}"
+    path.write_text(text)
+    argv = ["check", str(path)] if suffix == ".rca" else ["mcm", "run", str(path), "--i", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}:")

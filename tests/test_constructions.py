@@ -1,4 +1,5 @@
 import random
+from itertools import product as cartesian
 
 import pytest
 
@@ -10,14 +11,14 @@ from revca.constructions import (
     product_intersection,
     speedup,
 )
-from revca.core import all_words, make_automaton, run, validate
+from revca.core import Transition, all_words, make_automaton, run, validate
 from revca.reversibility import (
     derive_reverse,
     derive_reverse_any,
     step_back,
     verify_roundtrip,
 )
-from revca.witnesses import build_eq_ab
+from revca.witnesses import build_balance_factor, build_eq_ab
 
 from conftest import toy_burst_machine, toy_parity_dfa, toy_stationary_counter
 
@@ -267,3 +268,60 @@ def test_product_preserves_reversibility():
     verdict = derive_reverse(prod)
     assert verdict.reversible
     assert verify_roundtrip(prod, verdict.table, 4) is None
+
+
+def _product_by_probing(m1, m2):
+    """The lockstep product as first defined: from every reachable state pair,
+    probe both tables at each token and each pair of status vectors."""
+    tokens = sorted(m1.alphabet) + ["<", ">"]
+    vectors1 = list(cartesian("ZP", repeat=m1.k))
+    vectors2 = list(cartesian("ZP", repeat=m2.k))
+    start = (m1.initial, m2.initial)
+    seen, frontier, transitions = {start}, [start], set()
+    while frontier:
+        pair = frontier.pop()
+        for token in tokens:
+            for d1 in vectors1:
+                t1 = m1.table.get((pair[0], token, d1))
+                if t1 is None:
+                    continue
+                for d2 in vectors2:
+                    t2 = m2.table.get((pair[1], token, d2))
+                    if t2 is None:
+                        continue
+                    target = (t1.target, t2.target)
+                    transitions.add(
+                        Transition(pair, token, d1 + d2, target, t1.move, t1.deltas + t2.deltas)
+                    )
+                    if target not in seen:
+                        seen.add(target)
+                        frontier.append(target)
+    return seen, transitions
+
+
+def _factor_pairs():
+    pairs = {
+        "eq-ab-x-eq-ac": (build_balance_factor("abc", "b"), build_balance_factor("abc", "c")),
+        "eq-ab-x-eq-ab": (build_eq_ab(), build_eq_ab()),
+        "eq-ab-x-parity": (build_eq_ab(), toy_parity_dfa()),
+        "parity-x-eq-ab": (toy_parity_dfa(), build_eq_ab()),
+        "stationary-x-stationary": (toy_stationary_counter(), toy_stationary_counter()),
+        "burst-x-burst": (toy_burst_machine(), toy_burst_machine()),
+    }
+    return [pytest.param(m1, m2, id=label) for label, (m1, m2) in pairs.items()]
+
+
+@pytest.mark.parametrize("m1, m2", _factor_pairs())
+def test_product_matches_table_probing(m1, m2):
+    prod = product_intersection(m1, m2)
+    states, transitions = _product_by_probing(m1, m2)
+    assert prod.states == states
+    assert len(prod.transitions) == len(transitions)
+    assert set(prod.transitions) == transitions
+    assert prod.initial == (m1.initial, m2.initial)
+    assert prod.accepting == {p for p in states if p[0] in m1.accepting and p[1] in m2.accepting}
+
+
+def test_product_move_disagreement_on_stationary_factor():
+    with pytest.raises(MoveDisagreementError):
+        product_intersection(toy_burst_machine(), build_balance_factor("abc", "c"))

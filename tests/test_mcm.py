@@ -99,3 +99,15 @@ def test_register_stays_positive():
     for i in range(6):
         out = mcm_run(m, i)
         assert all(c.n >= 1 for c in out.trace)
+
+
+@pytest.mark.parametrize("make, i", [(doubling_example, 0), (hartmanis_example, 4)])
+def test_fuel_boundary(make, i):
+    m = make()
+    steps = len(mcm_run(m, i).trace) - 1
+    exact = mcm_run(m, i, fuel=steps)
+    assert exact.status is McmStatus.HALTED_FINAL
+    assert len(exact.trace) == steps + 1
+    short = mcm_run(m, i, fuel=steps - 1)
+    assert short.status is McmStatus.FUEL_EXHAUSTED
+    assert len(short.trace) == steps
