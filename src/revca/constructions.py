@@ -235,6 +235,20 @@ def _macro_step(norm, state, token, statuses, ell):
             )
 
 
+def _numbered(machine: CounterAutomaton):
+    """Dense ids for a product factor's states, the initial state first: the
+    states by id, and each id's outgoing (token, target id, transition) rows
+    in declaration order."""
+    ids = {machine.initial: 0}
+    for t in machine.transitions:
+        ids.setdefault(t.state, len(ids))
+        ids.setdefault(t.target, len(ids))
+    rows: list[list] = [[] for _ in ids]
+    for t in machine.transitions:
+        rows[ids[t.state]].append((t.token, ids[t.target], t))
+    return list(ids), rows
+
+
 def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterAutomaton:
     """Cartesian-product machine accepting L(m1) ∩ L(m2).
 
@@ -243,35 +257,49 @@ def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterA
     simply halt the product.  Only state pairs reachable from the initial pair
     are materialized.  Meaningful when accepting runs of both factors read
     their whole input, which holds for every machine built by this package.
+
+    The search runs over pairs of dense factor-state ids, joining each pair's
+    outgoing rows on token, so every product state is hashed and built once.
     """
     if m1.alphabet != m2.alphabet:
         raise AlphabetMismatchError(
             f"alphabets differ: {sorted(m1.alphabet)} vs {sorted(m2.alphabet)}"
         )
+    states1, rows1 = _numbered(m1)
+    states2, rows2 = _numbered(m2)
+    joins2 = []
+    for row in rows2:
+        by_token: dict[str, list] = {}
+        for token, target, t2 in row:
+            by_token.setdefault(token, []).append((target, t2))
+        joins2.append(by_token)
+    n2 = len(states2)
     initial = (m1.initial, m2.initial)
-    seen = {initial}
-    frontier = [initial]
+    pairs = {0: initial}  # id1 * n2 + id2 -> the pair state
+    frontier = [(0, 0, initial)]
     transitions = []
     while frontier:
-        pair = frontier.pop()
-        for t1 in m1.outgoing.get(pair[0], ()):
-            for t2 in m2.outgoing.get(pair[1], ()):
-                if t1.token != t2.token:
-                    continue
+        i, j, pair = frontier.pop()
+        join = joins2[j]
+        for token, target1, t1 in rows1[i]:
+            for target2, t2 in join.get(token, ()):
                 if t1.move != t2.move:
                     raise MoveDisagreementError(t1, t2)
-                target = (t1.target, t2.target)
+                key = target1 * n2 + target2
+                target = pairs.get(key)
+                if target is None:
+                    target = pairs[key] = (states1[target1], states2[target2])
+                    frontier.append((target1, target2, target))
                 transitions.append(
-                    Transition(pair, t1.token, t1.statuses + t2.statuses, target, t1.move, t1.deltas + t2.deltas)
+                    Transition(pair, token, t1.statuses + t2.statuses, target, t1.move, t1.deltas + t2.deltas)
                 )
-                if target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
+    accepting1 = {i for i, st in enumerate(states1) if st in m1.accepting}
+    accepting2 = {j for j, st in enumerate(states2) if st in m2.accepting}
     accepting = frozenset(
-        p for p in seen if p[0] in m1.accepting and p[1] in m2.accepting
+        pair for key, pair in pairs.items() if key // n2 in accepting1 and key % n2 in accepting2
     )
     return CounterAutomaton(
-        states=frozenset(seen),
+        states=frozenset(pairs.values()),
         alphabet=m1.alphabet,
         k=m1.k + m2.k,
         transitions=tuple(transitions),

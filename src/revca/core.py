@@ -14,6 +14,7 @@ import enum
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
+from operator import add, itemgetter
 from typing import Any, Iterable, NamedTuple, Optional
 
 State = Any  # hashable; plain strings in files, tuples in constructed machines
@@ -129,6 +130,28 @@ class CounterAutomaton:
         for t in self.transitions:
             index.setdefault(t.state, []).append(t)
         return index
+
+    @cached_property
+    def _risky(self) -> frozenset[Transition]:
+        """Transitions that can take a valid configuration to an invalid one:
+        the target lies outside ``states``, the head leaves the tape, the
+        delta vector is not k long, or a decrement can go below zero.  Empty
+        for every ordinary machine that passes ``validate``; ``run`` checks
+        the configuration again only after one of these."""
+        unsafe_effects = {
+            (statuses, deltas)
+            for statuses, deltas in {(t.statuses, t.deltas) for t in self.transitions}
+            if len(deltas) != self.k
+            or any(d < -1 or (d < 0 and s == ZERO) for s, d in zip(statuses, deltas))
+        }
+        return frozenset(
+            t
+            for t in self.transitions
+            if t.target not in self.states
+            or t.move not in (0, 1)
+            or (t.move == 1 and t.token == RIGHT_END)
+            or (unsafe_effects and (t.statuses, t.deltas) in unsafe_effects)
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CounterAutomaton):
@@ -302,6 +325,11 @@ def run(
     ``fuel`` bounds applied transitions; a machine that halts after exactly
     ``fuel`` steps still gets its accept/reject verdict.  Counters driven
     negative by an oversized delta abort the run as a diagnosed reject.
+
+    The configuration is validated once per run, at the start.  After that
+    only a transition that can break it (``CounterAutomaton._risky``, empty
+    for validated machines) gets its successor checked, so every other step
+    is a single ``table`` probe.
     """
     word = tuple(word)
     for token in word:
@@ -310,22 +338,37 @@ def run(
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
     cfg = machine.initial_configuration(word)
+    check_configuration(machine, cfg)
+    tokens = (LEFT_END, *word, RIGHT_END)
+    table, risky = machine.table, machine._risky
+    state, head, counters = cfg.state, cfg.head, cfg.counters
     history = [cfg] if trace else None
     steps = 0
     while True:
-        try:
-            nxt = step(machine, cfg)
-        except InvalidTransitionEffectError as exc:
-            return RunOutcome(Verdict.REJECT_HALT, steps, cfg, history, diagnostic=str(exc))
-        if nxt is None:
-            verdict = Verdict.ACCEPT if cfg.state in machine.accepting else Verdict.REJECT_HALT
-            return RunOutcome(verdict, steps, cfg, history)
+        t = table.get((state, tokens[head], tuple([POSITIVE if c else ZERO for c in counters])))
+        if t is None:
+            verdict = Verdict.ACCEPT if state in machine.accepting else Verdict.REJECT_HALT
+            return RunOutcome(verdict, steps, Configuration(state, word, head, counters), history)
+        nxt = tuple(map(add, counters, t.deltas))
+        checked = risky and t in risky
+        if checked and any(c < 0 for c in nxt):
+            return RunOutcome(
+                Verdict.REJECT_HALT,
+                steps,
+                Configuration(state, word, head, counters),
+                history,
+                diagnostic=f"transition {t.key} drives a counter below zero from {counters}",
+            )
         if steps == fuel:
-            return RunOutcome(Verdict.FUEL_EXHAUSTED, steps, cfg, history)
-        cfg = nxt
+            return RunOutcome(Verdict.FUEL_EXHAUSTED, steps, Configuration(state, word, head, counters), history)
+        state, head, counters = t.target, head + t.move, nxt
         steps += 1
-        if trace:
-            history.append(cfg)
+        if checked or trace:
+            cfg = Configuration(state, word, head, counters)
+            if checked:
+                check_configuration(machine, cfg)
+            if trace:
+                history.append(cfg)
 
 
 def accepts(machine: CounterAutomaton, word: Iterable[Token], fuel: int = 10_000) -> bool:
@@ -366,26 +409,43 @@ def restrict_to_reachable(machine: CounterAutomaton) -> CounterAutomaton:
 def rename_states(machine: CounterAutomaton, prefix: str = "s") -> CounterAutomaton:
     """Deterministically rename states to short strings (breadth-first from the
     initial state, leftovers in repr order); used before serialization since
-    constructed machines carry tuple-shaped states."""
+    constructed machines carry tuple-shaped states.
+
+    The search names each target as it emits the renamed transition, so every
+    transition costs one lookup of its target; the transitions come out in
+    that breadth-first order.
+    """
+    names = {machine.initial: f"{prefix}0"}
     order = [machine.initial]
-    seen = {machine.initial}
+    transitions = []
+    outgoing = machine.outgoing
+    by_key = itemgetter(1, 2)  # (token, statuses)
+
+    def emit(state):
+        source = names[state]
+        for t in sorted(outgoing.get(state, ()), key=by_key):
+            target = names.get(t.target)
+            if target is None:
+                target = names[t.target] = f"{prefix}{len(order)}"
+                order.append(t.target)
+            transitions.append(Transition(source, t.token, t.statuses, target, t.move, t.deltas))
+
     i = 0
     while i < len(order):
-        for t in sorted(machine.outgoing.get(order[i], ()), key=lambda t: (t.token, t.statuses)):
-            if t.target not in seen:
-                seen.add(t.target)
-                order.append(t.target)
+        emit(order[i])
         i += 1
-    for st in sorted(machine.states - seen, key=repr):
+    leftovers = sorted(machine.states - names.keys(), key=repr)
+    for st in leftovers:
+        names[st] = f"{prefix}{len(order)}"
         order.append(st)
-    names = {st: f"{prefix}{n}" for n, st in enumerate(order)}
+    for st in leftovers:
+        emit(st)
+    if len(transitions) != len(machine.transitions):
+        raise MachineError("rename_states: a transition leaves a state outside the machine")
     return replace(
         machine,
         states=frozenset(names.values()),
-        transitions=tuple(
-            Transition(names[t.state], t.token, t.statuses, names[t.target], t.move, t.deltas)
-            for t in machine.transitions
-        ),
+        transitions=tuple(transitions),
         initial=names[machine.initial],
         accepting=frozenset(names[s] for s in machine.accepting),
     )

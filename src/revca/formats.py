@@ -86,6 +86,7 @@ def parse_automaton(text: str) -> CounterAutomaton:
         else:
             header.setdefault(tag, []).append((no, fields[1:]))
             if tag == "counters":
+                _header(header, tag)  # reject a repeat before it re-keys later lines
                 try:
                     k = int(fields[1])
                 except (IndexError, ValueError):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 MULTIPLICANDS = (
@@ -51,7 +52,7 @@ class MultCounterMachine:
     final: str = "qf"
     name: str = field(default="", compare=False)
 
-    @property
+    @cached_property
     def rule_map(self) -> dict[str, McmRule]:
         return {r.state: r for r in self.rules}
 

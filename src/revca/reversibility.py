@@ -9,22 +9,25 @@ read, so backward entries are keyed on the token the forward step consumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
+from operator import add
 from typing import NamedTuple, Optional
 
 from .core import (
     Configuration,
     CounterAutomaton,
+    LEFT_END,
     MachineError,
     NegativeCounterError,
     POSITIVE,
+    RIGHT_END,
     StatusVector,
     Transition,
     ZERO,
     all_words,
     check_configuration,
     run,
-    status_of,
 )
 
 
@@ -43,7 +46,9 @@ class ReverseTable:
     """Partial backward table keyed on (state, consumed token, post-step statuses).
 
     The move is operationally uniform per (state, statuses) so a backward
-    machine can move its head before reading.
+    machine can move its head before reading.  ``derive_reverse`` hands over
+    the (state, statuses) -> move map it checked that on; any other table
+    builds it from ``entries`` on the first ``move_for``.
     """
 
     entries: dict[tuple, ReverseStep] = field(default_factory=dict)
@@ -88,10 +93,16 @@ def feasible_post_statuses(status: str, delta: int) -> tuple[str, ...]:
     return (ZERO, POSITIVE)
 
 
-def _post_statuses(t: Transition):
+def _post_statuses(t: Transition) -> tuple[StatusVector, ...]:
     """Every status vector observable right after ``t`` fires; none at all
-    when ``t`` is statically inapplicable (a decrement on zero)."""
-    return product(*(feasible_post_statuses(s, d) for s, d in zip(t.statuses, t.deltas)))
+    when ``t`` is statically inapplicable (a decrement on zero).  Transitions
+    with equal statuses and deltas share one tuple of the same vectors."""
+    return _posts(t.statuses, t.deltas)
+
+
+@lru_cache(maxsize=1024)
+def _posts(statuses: StatusVector, deltas: tuple[int, ...]) -> tuple[StatusVector, ...]:
+    return tuple(product(*(feasible_post_statuses(s, d) for s, d in zip(statuses, deltas))))
 
 
 def derive_reverse(machine: CounterAutomaton) -> ReversibilityVerdict:
@@ -110,55 +121,69 @@ def derive_reverse(machine: CounterAutomaton) -> ReversibilityVerdict:
 
 
 def derive_reverse_any(machine: CounterAutomaton) -> ReversibilityVerdict:
-    """Derivation without the max_delta guard, for internal construction use."""
+    """Derivation without the max_delta guard, for internal construction use.
+
+    Each entry key is hashed once on the way in; the forward transitions
+    behind the entries are only looked up again to report conflicts.
+    """
     entries: dict[tuple, ReverseStep] = {}
-    origin: dict[tuple, Transition] = {}
-    conflicts: list[Conflict] = []
+    preimage_clashes: list[tuple[tuple, Transition]] = []
     for t in machine.transitions:
         reverse = ReverseStep(t.state, -t.move, tuple(-d for d in t.deltas))
         for post in _post_statuses(t):
             key = (t.target, t.token, post)
-            if key in entries:
-                if entries[key] != reverse:
-                    conflicts.append(Conflict("preimage", key, origin[key], t))
-                continue
-            entries[key] = reverse
-            origin[key] = t
+            first = entries.setdefault(key, reverse)
+            if first is not reverse and first != reverse:
+                preimage_clashes.append((key, t))
     # one backward move per (state, post-statuses), across consumed tokens
-    moves: dict[tuple, tuple] = {}
-    for (st, _tok, d), out in entries.items():
-        group = (st, d)
-        if group in moves:
-            if moves[group][0] != out.move:
-                conflicts.append(Conflict("move", group, moves[group][1], origin[(st, _tok, d)]))
-        else:
-            moves[group] = (out.move, origin[(st, _tok, d)])
-    if conflicts:
-        return ReversibilityVerdict(None, conflicts)
-    return ReversibilityVerdict(ReverseTable(entries))
+    moves: dict[tuple, int] = {}
+    move_clashes: list[tuple[tuple, tuple]] = []
+    for key, out in entries.items():
+        group = (key[0], key[2])
+        if moves.setdefault(group, out.move) != out.move:
+            move_clashes.append((group, key))
+    if not (preimage_clashes or move_clashes):
+        return ReversibilityVerdict(ReverseTable(entries, _moves=moves))
+    origin: dict[tuple, Transition] = {}
+    for t in machine.transitions:
+        for post in _post_statuses(t):
+            origin.setdefault((t.target, t.token, post), t)
+    group_first: dict[tuple, tuple] = {}
+    for key in entries:
+        group_first.setdefault((key[0], key[2]), key)
+    conflicts = [Conflict("preimage", key, origin[key], t) for key, t in preimage_clashes]
+    conflicts += [
+        Conflict("move", group, origin[group_first[group]], origin[key]) for group, key in move_clashes
+    ]
+    return ReversibilityVerdict(None, conflicts)
 
 
 def step_back(
     machine: CounterAutomaton, table: ReverseTable, cfg: Configuration
 ) -> Optional[Configuration]:
-    """One backward step via the reverse table; None when no entry applies."""
-    check_configuration(machine, cfg)
-    statuses = status_of(cfg.counters)
+    """One backward step via the reverse table; None when no entry applies.
+
+    The head position and the counters are checked on every call; whether
+    ``cfg.state`` belongs to the machine is only tested when the table has
+    no entry for it.
+    """
+    word, head, counters = cfg.word, cfg.head, cfg.counters
+    if len(counters) != machine.k or not 0 <= head <= len(word) + 1 or min(counters, default=0) < 0:
+        check_configuration(machine, cfg)
+    statuses = tuple([POSITIVE if c else ZERO for c in counters])
     move = table.move_for(cfg.state, statuses)
-    if move is None:
-        return None
-    head = cfg.head + move
-    if head < 0:
-        return None
-    probe = Configuration(cfg.state, cfg.word, head, cfg.counters)
-    token = machine.scanned(probe)
-    out = table.entries.get((cfg.state, token, statuses))
+    out = None
+    if move is not None and head + move >= 0:
+        head += move
+        token = LEFT_END if head == 0 else RIGHT_END if head == len(word) + 1 else word[head - 1]
+        out = table.entries.get((cfg.state, token, statuses))
     if out is None:
+        check_configuration(machine, cfg)
         return None
-    counters = tuple(c + d for c, d in zip(cfg.counters, out.deltas))
-    if any(c < 0 for c in counters):
+    counters = tuple(map(add, counters, out.deltas))
+    if min(counters, default=0) < 0:
         raise NegativeCounterError(f"backward deltas {out.deltas} underflow {cfg.counters}")
-    return Configuration(out.target, cfg.word, head, counters)
+    return Configuration(out.target, word, head, counters)
 
 
 @dataclass

@@ -37,11 +37,11 @@ class NotAcceptingError(MachineError):
     pass
 
 
-def lead_token(state: str, ell: Fraction) -> str:
+def lead_token(state: str, ell: Fraction | str) -> str:
     return f"[{state}|l={ell}]"
 
 
-def trail_token(state: str, ell: Fraction, phi: int) -> str:
+def trail_token(state: str, ell: Fraction | str, phi: int) -> str:
     return f"[{state}|l={ell}|p={phi}]"
 
 
@@ -275,14 +275,16 @@ def valc_decide(machine: MultCounterMachine, tokens) -> bool:
 # acceptor construction
 
 
-def _lead_ells(machine: MultCounterMachine) -> dict[str, list[Fraction]]:
+def _lead_ells(machine: MultCounterMachine) -> dict[str, list[str]]:
+    """Multipliers that can open a block in each state, in increasing order,
+    as the text of a token's ``l=`` field."""
     table: dict[str, set[Fraction]] = {machine.initial: {Fraction(2)}}
     for r in machine.rules:
         table.setdefault(r.on_integer, set()).add(r.mult)
         table.setdefault(r.on_fraction, set()).add(Fraction(1))
     table.setdefault(machine.final, set()).add(Fraction(1))
     table[fprime_name(machine)] = set(table[machine.final])
-    return {s: sorted(v) for s, v in table.items()}
+    return {s: [str(ell) for ell in sorted(v)] for s, v in table.items()}
 
 
 def _divisor(machine: MultCounterMachine, state: str) -> Optional[int]:
@@ -313,7 +315,7 @@ def _factor(bctx) -> tuple[str, int]:
         return ("stride", 2)
     if kind == "dup":
         return ("stride", 1)
-    ell = bctx[-1]
+    ell = Fraction(bctx[-1])
     if ell >= 1:
         return ("stride", int(ell))
     return ("burst", int(1 / ell))
@@ -334,6 +336,10 @@ def build_valc_part_slow(machine: MultCounterMachine, part: int) -> CounterAutom
     into a per-site dead state so no run ever halts with a stationary move
     pending.  The uncovered first/last blocks of the even-parity machine are
     absorbed into the shared block machinery at merge-safe points.
+
+    States carry a block's multiplier as the text of its token's ``l=``
+    field, never as a Fraction: every later stage hashes these states, and
+    the product nests them three levels deep.
     """
     if part not in (1, 2):
         raise ValueError("part must be 1 or 2")
@@ -351,7 +357,7 @@ def build_valc_part_slow(machine: MultCounterMachine, part: int) -> CounterAutom
     expA = ("expA",)
 
     # generic A-machinery per (state, ell)
-    def emit_config_A(state: str, ell: Fraction):
+    def emit_config_A(state: str, ell: str):
         rule, mod = rule_map.get(state), _divisor(machine, state)
         a0 = ("A0", state, ell)
         steps = range(mod) if mod else (None,)
@@ -375,13 +381,13 @@ def build_valc_part_slow(machine: MultCounterMachine, part: int) -> CounterAutom
             if mod:
                 phi = j
                 if phi == 0:
-                    dest = ("expB", rule.on_integer, rule.mult)
+                    dest = ("expB", rule.on_integer, str(rule.mult))
                 else:
-                    dest = ("expB", rule.on_fraction, Fraction(1))
+                    dest = ("expB", rule.on_fraction, "1")
                 for st in (Z, P):
                     add(a1, trail_token(state, ell, phi), st, dest, 1, 0)
             else:
-                dest = ("expB", rule.on_integer, rule.mult)
+                dest = ("expB", rule.on_integer, str(rule.mult))
                 for st in (Z, P):
                     add(a1, trail_token(state, ell, 0), st, dest, 1, 0)
 
@@ -400,7 +406,7 @@ def build_valc_part_slow(machine: MultCounterMachine, part: int) -> CounterAutom
             return [(trail_token(fprime, bctx[1], 0), expA)]
         if kind == "final":
             return [(lead_token(final, bctx[1]), ("expEnd",))]
-        return [(lead_token(final, Fraction(1)), ("expEndDup",))]  # dup
+        return [(lead_token(final, "1"), ("expEndDup",))]  # dup
 
     def emit_B(bctx):
         mode, f = _factor(bctx)
@@ -437,7 +443,7 @@ def build_valc_part_slow(machine: MultCounterMachine, part: int) -> CounterAutom
     # --- assemble ----------------------------------------------------------
     all_bctx = set()
 
-    def expB_targets(state: str, ell: Fraction):
+    def expB_targets(state: str, ell: str):
         """Lead tokens acceptable for an expected successor block."""
         out = []
         if state == final:
@@ -460,16 +466,16 @@ def build_valc_part_slow(machine: MultCounterMachine, part: int) -> CounterAutom
             continue
         if rule is None:
             continue
-        exp_states.add(("expB", rule.on_integer, rule.mult))
+        exp_states.add(("expB", rule.on_integer, str(rule.mult)))
         if rule.mult < 1:
-            exp_states.add(("expB", rule.on_fraction, Fraction(1)))
+            exp_states.add(("expB", rule.on_fraction, "1"))
 
     for exp in sorted(exp_states, key=repr):
         if exp == ("expBdup",):
             bctx = ("dup",)
             all_bctx.add(bctx)
             for st in (Z, P):
-                add(exp, lead_token(final, Fraction(1)), st, b_entry(bctx), 1, 0)
+                add(exp, lead_token(final, "1"), st, b_entry(bctx), 1, 0)
             continue
         _, state, ell = exp
         for token, bkind in expB_targets(state, ell):
@@ -482,9 +488,9 @@ def build_valc_part_slow(machine: MultCounterMachine, part: int) -> CounterAutom
     expB_pfx = ("expB_pfx",)
     for st in (Z, P):
         add(expB_pfx, PREFIX, st, b_entry(("pfx",)), 1, 0)
-        add(expB_pfx, lead_token(q0, Fraction(2)), st, b_entry(("cfg", q0, Fraction(2))), 1, 0)
+        add(expB_pfx, lead_token(q0, "2"), st, b_entry(("cfg", q0, "2")), 1, 0)
     all_bctx.add(("pfx",))
-    all_bctx.add(("cfg", q0, Fraction(2)))
+    all_bctx.add(("cfg", q0, "2"))
 
     # generic next-pair expectation
     add(expA, PREFIX, Z, ("PA0",), 1, 0)
@@ -511,15 +517,15 @@ def build_valc_part_slow(machine: MultCounterMachine, part: int) -> CounterAutom
         add(("expA1",), PREFIX, Z, ("FA0",), 1, 0)
         add(("FA0",), MARKED, Z, ("FA1",), 1, 0)
         add(("FA1",), PREFIX, Z, expB_pfx, 1, 0)
-        add(("expA1",), lead_token(q0, Fraction(2)), Z, ("FA0c",), 1, 0)
+        add(("expA1",), lead_token(q0, "2"), Z, ("FA0c",), 1, 0)
         mod = _divisor(machine, q0)
-        add(("FA0c",), MARKED, Z, ("A1", q0, Fraction(2), 1 % mod if mod else None), 1, 0)
+        add(("FA0c",), MARKED, Z, ("A1", q0, "2", 1 % mod if mod else None), 1, 0)
     else:
         add(("start",), "<", Z, ("I0",), 1, 0)
         add(("I0",), PREFIX, Z, ("IB1",), 1, 0)
         add(("IB1",), MARKED, Z, ("Bfin", ("pfx",)), 1, 0)
-        add(("I0",), lead_token(q0, Fraction(2)), Z, ("IC1",), 1, 0)
-        add(("IC1",), MARKED, Z, ("Bfin", ("cfg", q0, Fraction(2))), 1, 0)
+        add(("I0",), lead_token(q0, "2"), Z, ("IC1",), 1, 0)
+        add(("IC1",), MARKED, Z, ("Bfin", ("cfg", q0, "2")), 1, 0)
         # the uncovered final block: read idly, counter untouched
         for ell in ells[final]:
             idle = ("IF", ell)

@@ -221,9 +221,10 @@ DOUBLE_TEXT = (MACHINES / "double.mcm").read_text()
         (".mcm", DOUBLE_TEXT, "initial q0\n", "initial\n", 3),
         (".mcm", DOUBLE_TEXT, "final qf\n", "final\n", 4),
         (".mcm", DOUBLE_TEXT, "mcm-format 1\n", "mcm-format\n", 1),
+        (".rca", EQ_AB_TEXT, "counters 1\n", "counters 1\ncounters 0\n", 3),
     ],
     ids=["maxdelta-empty", "maxdelta-not-int", "initial-empty", "version-empty",
-         "mcm-initial-empty", "mcm-final-empty", "mcm-version-empty"],
+         "mcm-initial-empty", "mcm-final-empty", "mcm-version-empty", "counters-repeated"],
 )
 def test_cli_malformed_header_exit_2(tmp_path, capsys, suffix, original, old, new, line):
     text = original.replace(old, new, 1)

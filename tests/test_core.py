@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from revca.core import (
     Configuration,
     InvalidConfigurationError,
+    InvalidTransitionEffectError,
     NegativeCounterError,
     UnknownTokenError,
     Verdict,
@@ -142,3 +143,116 @@ def test_membership_and_head_safety_bounded():
         for cfg in out.trace:
             assert 0 <= cfg.head <= len(word) + 1
             assert all(c >= 0 for c in cfg.counters)
+
+
+# The simulator's error paths on machines that were never validated: each bad
+# transition is only diagnosed when a run takes it.
+
+
+def test_run_target_outside_states_raises():
+    m = make_automaton(
+        [("q0", "<", "Z", "qx", 1, (0,)), ("qx", "a", "Z", "q0", 1, (0,))],
+        initial="q0",
+        accepting=["q0"],
+        k=1,
+        states=["q0"],
+    )
+    with pytest.raises(InvalidConfigurationError):
+        run(m, "a", 10)
+    # the budget runs out before the bad successor is looked at
+    assert run(m, "a", 0).verdict is Verdict.FUEL_EXHAUSTED
+
+
+def test_run_right_move_on_right_endmarker_raises():
+    m = make_automaton(
+        [("q0", "<", "Z", "q1", 1, (0,)), ("q1", ">", "Z", "q1", 1, (0,))],
+        initial="q0",
+        accepting=["q1"],
+        k=1,
+    )
+    with pytest.raises(InvalidConfigurationError):
+        run(m, "", 10)
+
+
+def test_run_short_delta_vector_raises():
+    m = make_automaton(
+        [("q0", "<", "ZZ", "q1", 1, (1,)), ("q1", ">", "ZZ", "q2", 0, (0, 0))],
+        initial="q0",
+        accepting=["q2"],
+        k=2,
+    )
+    with pytest.raises(InvalidConfigurationError):
+        run(m, "", 10)
+
+
+def test_run_oversized_negative_delta_is_a_diagnosed_reject():
+    m = make_automaton(
+        [("q0", "<", "Z", "q1", 1, (2,)), ("q1", ">", "P", "q2", 0, (-3,))],
+        initial="q0",
+        accepting=["q2"],
+        k=1,
+        max_delta=3,
+    )
+    out = run(m, "", 10)
+    assert out.verdict is Verdict.REJECT_HALT
+    assert out.steps == 1
+    assert out.final == Configuration("q1", (), 1, (2,))
+    assert out.diagnostic and "below zero" in out.diagnostic
+    # a decrement keyed on a zero status goes the same way
+    m = make_automaton(
+        [("q0", "<", "Z", "q1", 1, (-1,))], initial="q0", accepting=["q1"], k=1
+    )
+    out = run(m, "", 10)
+    assert out.verdict is Verdict.REJECT_HALT and out.steps == 0 and out.diagnostic
+
+
+def _run_by_steps(machine, word, fuel):
+    """Reference semantics for ``run``: ``step`` validates every
+    configuration it is handed, and the budget is checked after each step."""
+    cfg = machine.initial_configuration(word)
+    history = [cfg]
+    while True:
+        try:
+            nxt = step(machine, cfg)
+        except InvalidTransitionEffectError as exc:
+            return Verdict.REJECT_HALT, len(history) - 1, cfg, history, str(exc)
+        if nxt is None:
+            verdict = Verdict.ACCEPT if cfg.state in machine.accepting else Verdict.REJECT_HALT
+            return verdict, len(history) - 1, cfg, history, None
+        if len(history) - 1 == fuel:
+            return Verdict.FUEL_EXHAUSTED, len(history) - 1, cfg, history, None
+        cfg = nxt
+        history.append(cfg)
+
+
+@st.composite
+def unvalidated_machines(draw):
+    k = draw(st.integers(min_value=0, max_value=2))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from("pqr"),
+                st.sampled_from(["<", "a", "b", ">"]),
+                st.lists(st.sampled_from("ZP"), min_size=k, max_size=k),
+                st.sampled_from("pqrx"),
+                st.integers(min_value=0, max_value=1),
+                st.lists(st.integers(min_value=-2, max_value=2), min_size=max(k - 1, 0), max_size=k),
+            ),
+            max_size=14,
+        )
+    )
+    return make_automaton(
+        rows, initial="p", accepting=["q"], k=k, alphabet="ab", states="pqr", max_delta=2
+    )
+
+
+@given(unvalidated_machines(), st.text(alphabet="ab", max_size=5), st.integers(min_value=0, max_value=12))
+def test_run_matches_step_by_step_reference(machine, word, fuel):
+    try:
+        expected = _run_by_steps(machine, word, fuel)
+    except InvalidConfigurationError:
+        with pytest.raises(InvalidConfigurationError):
+            run(machine, word, fuel, trace=True)
+        return
+    out = run(machine, word, fuel, trace=True)
+    assert (out.verdict, out.steps, out.final, out.trace, out.diagnostic) == expected

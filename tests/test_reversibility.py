@@ -167,3 +167,19 @@ def test_toy_stationary_machine_roundtrip():
     assert verify_roundtrip(m, verdict.table, 6) is None
     assert check_quasi_realtime(m, 1, 6).ok
     assert not check_quasi_realtime(m, 0, 3).ok
+
+
+def test_step_back_rejects_bad_configurations():
+    from revca.core import InvalidConfigurationError
+
+    m = build_eq_ab()
+    table = derive_reverse(m).table
+    word = ("a", "b")
+    for cfg in (
+        Configuration("nowhere", word, 3, (0,)),
+        Configuration("qf", word, 4, (0,)),
+        Configuration("qf", word, 3, (0, 0)),
+        Configuration("qa", word, 2, (-1,)),
+    ):
+        with pytest.raises(InvalidConfigurationError):
+            step_back(m, table, cfg)

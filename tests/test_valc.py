@@ -230,3 +230,37 @@ def test_parts_roundtrip_on_golden_prefixes_and_mutants(valc_machines):
             assert table is not None
             for w in words:
                 assert roundtrip_word(target, table, w, fuel=5000) is None
+
+
+# SHA-256 of the serialized history-acceptor products; any change to the
+# constructions that alters a single byte of the written machines shows here.
+PRODUCT_SHA256 = {
+    "hartmanis": "dfb0d5dbf6b928ac39af47446b4b225338b010f44372bd8b7582a85112d93b63",
+    "double": "93d56a8294420d5e0e4360be731427e23167d7d1fc0831bceabb349908f1726f",
+}
+
+
+def test_product_serialization_is_pinned(valc_machines):
+    import hashlib
+
+    from revca.cli import _serialize
+
+    for name, (_machine, _v1, _v2, prod) in valc_machines.items():
+        digest = hashlib.sha256(_serialize(prod).encode()).hexdigest()
+        assert digest == PRODUCT_SHA256[name], name
+
+
+def _parts(value):
+    yield value
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _parts(item)
+
+
+@pytest.mark.parametrize("part", [1, 2])
+def test_slow_part_states_hold_no_fraction(part):
+    for machine in (hartmanis_example(), doubling_example()):
+        slow = build_valc_part_slow(machine, part)
+        assert not any(
+            isinstance(x, Fraction) for state in slow.states for x in _parts(state)
+        )
