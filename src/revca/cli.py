@@ -38,10 +38,8 @@ def _write_automaton(machine: CounterAutomaton, path: str) -> None:
 def _split_word(machine: CounterAutomaton, text: str) -> list[str]:
     """Tokens are whitespace separated; a bare string whose characters are all
     single-character alphabet tokens may be written without spaces."""
-    if text == "":
-        return []
     parts = text.split()
-    if len(parts) > 1 or parts[0] in machine.alphabet:
+    if len(parts) != 1 or parts[0] in machine.alphabet:
         return parts
     word = parts[0]
     if all(ch in machine.alphabet for ch in word):

@@ -143,15 +143,18 @@ def _normalize_reverse(reverse: ReverseTable, c: int, k: int) -> ReverseTable:
 
 
 def remove_initial_left_loops(machine: CounterAutomaton) -> CounterAutomaton:
-    """Drop stationary left-endmarker transitions that land in the initial
-    configuration.  Any run through one loops forever without accepting, so
-    the language is unchanged."""
+    """Drop stationary left-endmarker transitions that leave a rejecting state
+    for the initial configuration.  A run through one loops forever without
+    accepting, and without it the run halts in that rejecting state, so the
+    language is unchanged.  One leaving an accepting state is kept: without it
+    the run would halt there and accept."""
     zeros = (ZERO,) * machine.k
     keep = tuple(
         t
         for t in machine.transitions
         if not (
             t.token == "<"
+            and t.state not in machine.accepting
             and t.move == 0
             and t.statuses == zeros
             and t.target == machine.initial

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .core import CounterAutomaton, MachineError, make_automaton
@@ -348,200 +349,138 @@ def build_valc_part_slow(machine: MultCounterMachine, part: int) -> CounterAutom
     q0 = machine.initial
     ells = _lead_ells(machine)
     rule_map = machine.rule_map
-    transitions: list[tuple] = []
+    mods = {s: _divisor(machine, s) for s in ells}  # looked up once, not per row
+    factor = cache(_factor)
+    expA, expB_pfx = ("expA",), ("expB_pfx",)
 
-    def add(state, token, status, target, move, delta):
-        transitions.append((state, token, (status,), target, move, (delta,)))
-
-    # --- block-opening expectations -------------------------------------
-    expA = ("expA",)
-
-    # generic A-machinery per (state, ell)
-    def emit_config_A(state: str, ell: str):
-        rule, mod = rule_map.get(state), _divisor(machine, state)
-        a0 = ("A0", state, ell)
-        steps = range(mod) if mod else (None,)
-        # first letter is absorbed into the state, later ones hit the counter
-        first = ("A1", state, ell, 1 % mod if mod else None)
-        add(a0, LETTER, Z, first, 1, 0)
-        for j in steps:
-            a1 = ("A1", state, ell, j)
-            nxt = ("A1", state, ell, (j + 1) % mod if mod else None)
-            for st in (Z, P):
-                add(a1, LETTER, st, nxt, 1, 1)
-            # closing token: residue field must match the modular count
-            if state == fprime:
-                if j in (0, None):
-                    dest = ("expBdup",)
-                    for st in (Z, P):
-                        add(a1, trail_token(state, ell, 0), st, dest, 1, 0)
-                continue
-            if rule is None:
-                continue  # no successor exists: reject at the closing token
-            if mod:
-                phi = j
-                if phi == 0:
-                    dest = ("expB", rule.on_integer, str(rule.mult))
-                else:
-                    dest = ("expB", rule.on_fraction, "1")
-                for st in (Z, P):
-                    add(a1, trail_token(state, ell, phi), st, dest, 1, 0)
-            else:
-                dest = ("expB", rule.on_integer, str(rule.mult))
-                for st in (Z, P):
-                    add(a1, trail_token(state, ell, 0), st, dest, 1, 0)
-
-    # --- B-side machinery -------------------------------------------------
-    def bctx_trail_exits(bctx):
-        """(trail token, next state) pairs closing a successor block."""
-        kind = bctx[0]
-        if kind == "pfx":
-            return [(PREFIX, expA)]
-        if kind == "cfg":
-            _, state, ell = bctx
-            return [
-                (trail_token(state, ell, phi), expA) for phi in range(_divisor(machine, state) or 1)
-            ]
-        if kind == "fprime":
-            return [(trail_token(fprime, bctx[1], 0), expA)]
-        if kind == "final":
-            return [(lead_token(final, bctx[1]), ("expEnd",))]
-        return [(lead_token(final, "1"), ("expEndDup",))]  # dup
-
-    def emit_B(bctx):
-        mode, f = _factor(bctx)
-        fin = ("Bfin", bctx)
-        if mode == "stride":
-            for r in range(f):
-                state = ("B", bctx, r)
-                if r < f - 1:
-                    nxt = ("B", bctx, r + 1)
-                    add(state, LETTER, P, nxt, 1, 0)
-                    add(state, LETTER, Z, nxt, 1, 0)  # final stride, bank spent
-                else:
-                    add(state, LETTER, P, ("B", bctx, 0), 1, -1)
-                    add(state, LETTER, Z, fin, 1, 0)  # the off-by-one tick
-        else:
-            for t in range(f):
-                state = ("Bb", bctx, t)
-                if t == 0:
-                    add(state, LETTER, P, ("Bb", bctx, 1), 0, -1)
-                    # empty counter before a burst: no stationary move done
-                    # yet, so plain halting rejects safely (no entry)
-                elif t < f - 1:
-                    add(state, LETTER, P, ("Bb", bctx, t + 1), 0, -1)
-                    add(state, LETTER, Z, ("dead", bctx, t), 1, 0)
-                else:
-                    add(state, LETTER, P, ("Bb", bctx, 0), 1, -1)
-                    add(state, LETTER, Z, fin, 1, 0)
-        for token, nxt in bctx_trail_exits(bctx):
-            add(fin, token, Z, nxt, 1, 0)
+    def counted(state: str, ell: str, j):
+        """The A1 state after one more letter of a block whose count is j."""
+        mod = mods[state]
+        return ("A1", state, ell, (j + 1) % mod if mod else None)
 
     def b_entry(bctx):
-        return ("Bb" if _factor(bctx)[0] == "burst" else "B", bctx, 0)
+        return ("Bb" if factor(bctx)[0] == "burst" else "B", bctx, 0)
 
-    # --- assemble ----------------------------------------------------------
-    all_bctx = set()
+    def either(token, target, delta=0):
+        return [(token, Z, target, 1, delta), (token, P, target, 1, delta)]
 
-    def expB_targets(state: str, ell: str):
-        """Lead tokens acceptable for an expected successor block."""
-        out = []
-        if state == final:
-            out.append((lead_token(final, ell), ("final", ell)))
-            out.append((lead_token(fprime, ell), ("fprime", ell)))
-        else:
-            out.append((lead_token(state, ell), ("cfg", state, ell)))
-        return out
-
-    config_heads = [
-        (s, ell) for s in sorted(ells) if s != final for ell in ells[s]
-    ]
-
-    # expectations after an A block
-    exp_states = set()
-    for s, ell in config_heads:
-        rule = rule_map.get(s)
-        if s == fprime:
-            exp_states.add(("expBdup",))
-            continue
-        if rule is None:
-            continue
-        exp_states.add(("expB", rule.on_integer, str(rule.mult)))
-        if rule.mult < 1:
-            exp_states.add(("expB", rule.on_fraction, "1"))
-
-    for exp in sorted(exp_states, key=repr):
-        if exp == ("expBdup",):
-            bctx = ("dup",)
-            all_bctx.add(bctx)
-            for st in (Z, P):
-                add(exp, lead_token(final, "1"), st, b_entry(bctx), 1, 0)
-            continue
-        _, state, ell = exp
-        for token, bkind in expB_targets(state, ell):
-            all_bctx.add(bkind)
-            for st in (Z, P):
-                add(exp, token, st, b_entry(bkind), 1, 0)
-
-    # doubling pairs: a prefix block is followed by a prefix block or by the
-    # initial configuration
-    expB_pfx = ("expB_pfx",)
-    for st in (Z, P):
-        add(expB_pfx, PREFIX, st, b_entry(("pfx",)), 1, 0)
-        add(expB_pfx, lead_token(q0, "2"), st, b_entry(("cfg", q0, "2")), 1, 0)
-    all_bctx.add(("pfx",))
-    all_bctx.add(("cfg", q0, "2"))
-
-    # generic next-pair expectation
-    add(expA, PREFIX, Z, ("PA0",), 1, 0)
-    for s, ell in config_heads:
-        add(expA, lead_token(s, ell), Z, ("A0", s, ell), 1, 0)
-        emit_config_A(s, ell)
-
-    # prefix blocks as the checked pair's first half
-    add(("PA0",), LETTER, Z, ("PA1",), 1, 0)
-    for st in (Z, P):
-        add(("PA1",), LETTER, st, ("PA1",), 1, 1)
-    add(("PA1",), PREFIX, P, expB_pfx, 1, 0)
-    # a length-one doubling block can only be the very first block; rejecting
-    # it here keeps the closing-token step backward deterministic
-
+    # single-status states: read one token rightward, counter untouched
+    plain = {
+        # part 1 opens with the first checked pair
+        ("expA1",): [(PREFIX, ("FA0",)), (lead_token(q0, "2"), ("FA0c",))],
+        ("FA0",): [(MARKED, ("FA1",))],
+        ("FA1",): [(PREFIX, expB_pfx)],
+        ("FA0c",): [(MARKED, counted(q0, "2", 0))],
+        # part 2 reads the first block as the second half of no pair
+        ("I0",): [(PREFIX, ("IB1",)), (lead_token(q0, "2"), ("IC1",))],
+        ("IB1",): [(MARKED, ("Bfin", ("pfx",)))],
+        ("IC1",): [(MARKED, ("Bfin", ("cfg", q0, "2")))],
+        ("start",): [("<", ("expA1",) if part == 1 else ("I0",))],
+        ("PA0",): [(LETTER, ("PA1",))],
+    }
     # accepting tail
-    add(("expEnd",), ">", Z, ("acc",), 0, 0)
-    add(("expEndDup",), ">", Z, ("accDup",), 0, 0)
-    accepting = [("acc",), ("accDup",)]
+    ends = {("expEnd",): ("acc",), ("expEndDup",): ("accDup",), ("expEndIdle",): ("accIdle",)}
 
-    # part-specific opening
-    if part == 1:
-        add(("start",), "<", Z, ("expA1",), 1, 0)
-        add(("expA1",), PREFIX, Z, ("FA0",), 1, 0)
-        add(("FA0",), MARKED, Z, ("FA1",), 1, 0)
-        add(("FA1",), PREFIX, Z, expB_pfx, 1, 0)
-        add(("expA1",), lead_token(q0, "2"), Z, ("FA0c",), 1, 0)
-        mod = _divisor(machine, q0)
-        add(("FA0c",), MARKED, Z, ("A1", q0, "2", 1 % mod if mod else None), 1, 0)
-    else:
-        add(("start",), "<", Z, ("I0",), 1, 0)
-        add(("I0",), PREFIX, Z, ("IB1",), 1, 0)
-        add(("IB1",), MARKED, Z, ("Bfin", ("pfx",)), 1, 0)
-        add(("I0",), lead_token(q0, "2"), Z, ("IC1",), 1, 0)
-        add(("IC1",), MARKED, Z, ("Bfin", ("cfg", q0, "2")), 1, 0)
-        # the uncovered final block: read idly, counter untouched
-        for ell in ells[final]:
-            idle = ("IF", ell)
-            add(expA, lead_token(final, ell), Z, idle, 1, 0)
-            add(idle, LETTER, Z, idle, 1, 0)
-            add(idle, lead_token(final, ell), Z, ("expEndIdle",), 1, 0)
-        add(("expEndIdle",), ">", Z, ("accIdle",), 0, 0)
-        accepting.append(("accIdle",))
+    def rules(state) -> list[tuple]:
+        """(token, status, target, move, delta) rows leaving ``state``."""
+        if state in plain:
+            return [(token, Z, target, 1, 0) for token, target in plain[state]]
+        if state in ends:
+            return [(">", Z, ends[state], 0, 0)]
+        kind = state[0]
+        if kind == "expA":  # generic next-pair expectation
+            rows = [(PREFIX, Z, ("PA0",), 1, 0)]
+            for s in sorted(ells):
+                if s != final:
+                    rows += [(lead_token(s, ell), Z, ("A0", s, ell), 1, 0) for ell in ells[s]]
+                elif part == 2:  # the uncovered final block: read idly
+                    rows += [(lead_token(s, ell), Z, ("IF", ell), 1, 0) for ell in ells[s]]
+            return rows
+        if kind == "IF":
+            return [(LETTER, Z, state, 1, 0), (lead_token(final, state[1]), Z, ("expEndIdle",), 1, 0)]
+        if kind == "PA1":  # prefix blocks as the checked pair's first half
+            # a length-one doubling block can only be the very first block;
+            # rejecting it here keeps the closing-token step backward
+            # deterministic
+            return either(LETTER, state, 1) + [(PREFIX, P, expB_pfx, 1, 0)]
+        if kind == "A0":
+            # a block's first letter is absorbed into the state, later ones
+            # hit the counter
+            return [(LETTER, Z, counted(*state[1:], 0), 1, 0)]
+        if kind == "A1":
+            _, s, ell, j = state
+            rows = either(LETTER, counted(s, ell, j), 1)
+            # closing token: residue field must match the modular count
+            rule = rule_map.get(s)
+            if s == fprime:
+                dest = ("expBdup",)
+            elif rule is None:
+                return rows  # no successor exists: reject at the closing token
+            elif j:
+                dest = ("expB", rule.on_fraction, "1")
+            else:
+                dest = ("expB", rule.on_integer, str(rule.mult))
+            return rows + either(trail_token(s, ell, j or 0), dest)
+        # block-opening expectations: lead tokens acceptable for a successor
+        if kind == "expBdup":
+            return either(lead_token(final, "1"), b_entry(("dup",)))
+        if kind == "expB_pfx":
+            # a prefix block is followed by a prefix block or by the initial
+            # configuration
+            return either(PREFIX, b_entry(("pfx",))) + either(
+                lead_token(q0, "2"), b_entry(("cfg", q0, "2"))
+            )
+        if kind == "expB":
+            _, s, ell = state
+            if s != final:
+                return either(lead_token(s, ell), b_entry(("cfg", s, ell)))
+            return either(lead_token(final, ell), b_entry(("final", ell))) + either(
+                lead_token(fprime, ell), b_entry(("fprime", ell))
+            )
+        if kind in ("B", "Bb"):
+            _, bctx, r = state
+            f = factor(bctx)[1]
+            if r == f - 1:  # last tick; an empty counter is the off-by-one tick
+                return [(LETTER, P, (kind, bctx, 0), 1, -1), (LETTER, Z, ("Bfin", bctx), 1, 0)]
+            if kind == "B":  # stride: on Z, the final stride with the bank spent
+                return either(LETTER, ("B", bctx, r + 1))
+            # burst: an empty counter before the first tick halts with no
+            # stationary move pending (no entry); later ones leave through a
+            # moving step into a per-site dead state
+            rows = [(LETTER, P, ("Bb", bctx, r + 1), 0, -1)]
+            if r:
+                rows.append((LETTER, Z, ("dead", bctx, r), 1, 0))
+            return rows
+        if kind == "Bfin":  # the token closing a successor block
+            bctx = state[1]
+            if bctx[0] == "pfx":
+                exits = [(PREFIX, expA)]
+            elif bctx[0] == "cfg":
+                _, s, ell = bctx
+                exits = [(trail_token(s, ell, phi), expA) for phi in range(mods[s] or 1)]
+            elif bctx[0] == "fprime":
+                exits = [(trail_token(fprime, bctx[1], 0), expA)]
+            elif bctx[0] == "final":
+                exits = [(lead_token(final, bctx[1]), ("expEnd",))]
+            else:  # dup
+                exits = [(lead_token(final, "1"), ("expEndDup",))]
+            return [(token, Z, target, 1, 0) for token, target in exits]
+        return []  # accepting and dead states
 
-    for bctx in sorted(all_bctx, key=repr):
-        emit_B(bctx)
-
+    transitions: list[tuple] = []
+    reached = {("start",)}
+    todo = [("start",)]
+    while todo:
+        state = todo.pop()
+        for token, status, target, move, delta in rules(state):
+            transitions.append((state, token, (status,), target, move, (delta,)))
+            if target not in reached:
+                reached.add(target)
+                todo.append(target)
     return make_automaton(
         transitions,
         initial=("start",),
-        accepting=accepting,
+        accepting=reached & set(ends.values()),
         k=1,
         alphabet=valc_alphabet(machine),
         name=f"valc{part}({machine.name})",

@@ -18,6 +18,7 @@ from .constructions import product_intersection
 
 BARRED = {"A": "a", "B": "b"}
 LETTER_BITS = {"a": "0", "b": "1", "A": "0", "B": "1"}
+_LK_SHAPE = re.compile(r"([ab]*[AB])(\$+)([AB][ab]*)")  # u z1, $^i, z2 v
 
 
 class UnknownLetterError(MachineError):
@@ -56,27 +57,12 @@ def decide_Lk(k: int, word: str) -> bool:
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    first = word.find("$")
-    if first < 0:
+    shape = _LK_SHAPE.fullmatch(word)
+    if shape is None:
         return False
-    last = first
-    while last + 1 < len(word) and word[last + 1] == "$":
-        last += 1
-    if "$" in word[last + 1 :]:
-        return False  # a second run of separators
-    i = last - first + 1
-    if not 1 <= i <= k:
-        return False
-    prefix, suffix = word[:first], word[last + 1 :]
-    if not prefix or not suffix:
-        return False
-    u, z1 = prefix[:-1], prefix[-1]
-    z2, v = suffix[0], suffix[1:]
-    if z1 not in BARRED or z2 not in BARRED:
-        return False
-    if any(ch not in "ab" for ch in u) or any(ch not in "ab" for ch in v):
-        return False
-    if len(prefix) % k or len(prefix) == 0:
+    prefix, separators, suffix = shape.groups()
+    i = len(separators)
+    if i > k or len(prefix) % k:
         return False
     left = eta(scattered_factor(phi(prefix), k, i))
     right = eta(phi(suffix)[::-1])

@@ -75,9 +75,10 @@ def test_cli_run_trace_and_backward(capsys):
 
 
 def test_cli_run_empty_word(capsys):
-    rc = main(["run", str(MACHINES / "eq_ab.rca"), ""])
-    assert rc == 0
-    assert "steps=2" in capsys.readouterr().out
+    for word in ("", " "):
+        rc = main(["run", str(MACHINES / "eq_ab.rca"), word])
+        assert rc == 0
+        assert "steps=2" in capsys.readouterr().out
 
 
 def test_cli_check_syntactic(capsys):

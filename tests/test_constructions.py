@@ -191,6 +191,27 @@ def test_speedup_removes_initial_left_loop():
         assert not run(fast, word, 50).accepted
 
 
+@pytest.mark.parametrize(
+    "rows, accepting",
+    [
+        ([("q0", "<", "Z", "q0", 0, (0,))], ["q0"]),
+        ([("q0", "<", "Z", "s", 0, (0,)), ("s", "<", "Z", "q0", 0, (0,))], ["s"]),
+    ],
+)
+def test_speedup_keeps_initial_left_loop_from_accepting_state(rows, accepting):
+    from revca.constructions import NotQuasiRealtimeError
+
+    # every run loops on the left endmarker: the language is empty, and
+    # dropping the loop's last move would halt the run in an accepting state
+    m = make_automaton(
+        rows + [("q0", "a", "Z", "q0", 1, (0,))],
+        initial="q0", accepting=accepting, k=1, alphabet={"a"},
+    )
+    assert not any(run(m, word, 50).accepted for word in all_words({"a"}, 3))
+    with pytest.raises(NotQuasiRealtimeError):
+        speedup(m, 2)
+
+
 def test_speedup_already_real_time_machine():
     m = build_eq_ab()
     fast = speedup(m, 1)

@@ -250,6 +250,26 @@ def test_product_serialization_is_pinned(valc_machines):
         assert digest == PRODUCT_SHA256[name], name
 
 
+SLOW_PART_SHA256 = {
+    ("hartmanis", 1): "e1dfa88fd99fae2b16c377f07c80f79ba30eccdaa24d07372db0315b4f3abce3",
+    ("hartmanis", 2): "20404b2a3b2cf262a7fcb1823066a50405d9c9394893209aa8a5da026180bfc4",
+    ("double", 1): "d3585c0a8aad6c181c1855f4d91188f4870eb079b4796a4e3f4f8becf7b0f1c8",
+    ("double", 2): "072ad016b809c3fb12fce66b2ec0566599fc7035011ec34ab1dc393c29c58150",
+}
+
+
+@pytest.mark.parametrize("part", [1, 2])
+def test_slow_part_serialization_is_pinned(part):
+    import hashlib
+
+    from revca.cli import _serialize
+
+    for machine in (hartmanis_example(), doubling_example()):
+        slow = build_valc_part_slow(machine, part)
+        digest = hashlib.sha256(_serialize(slow).encode()).hexdigest()
+        assert digest == SLOW_PART_SHA256[machine.name, part], machine.name
+
+
 def _parts(value):
     yield value
     if isinstance(value, tuple):
