@@ -84,6 +84,22 @@ def cmd_run(args) -> int:
     return 0 if outcome.accepted else 1
 
 
+def _repr_order(entries: dict) -> list[tuple]:
+    """The (state, token, statuses) keys in the order ``sorted(entries.items(),
+    key=repr)`` gives, sorted on integer ranks instead of reprs.  The reprs of
+    distinct strings, and of distinct status vectors of one length, are never
+    prefixes of one another, so the item reprs first differ inside the first
+    part that differs, and comparing part by part gives the same order."""
+    states, tokens, statuses = (
+        {value: rank for rank, value in enumerate(sorted({key[i] for key in entries}, key=repr))}
+        for i in range(3)
+    )
+    n_tokens, n_statuses = len(tokens), len(statuses)
+    return sorted(
+        entries, key=lambda key: (states[key[0]] * n_tokens + tokens[key[1]]) * n_statuses + statuses[key[2]]
+    )
+
+
 def cmd_check(args) -> int:
     machine = _load_automaton(args.file)
     verdict = reversibility.derive_reverse(machine)
@@ -93,11 +109,13 @@ def cmd_check(args) -> int:
             print(f"  {c.kind} clash at {c.key}: {c.first.key} vs {c.second.key}")
         return 1
     entries = verdict.table.entries
-    print(f"REVERSIBLE ({len(entries)} backward entries)")
-    for (state, token, statuses), out in sorted(entries.items(), key=repr):
-        status = "".join(statuses) or "-"
-        deltas = ",".join(str(d) for d in out.deltas) or "-"
-        print(f"  {state} {token} {status} <- {out.target} {out.move} {deltas}")
+    lines = [f"REVERSIBLE ({len(entries)} backward entries)\n"]
+    for key in _repr_order(entries):
+        state, token, statuses = key
+        out = entries[key]
+        status, deltas = formats.status_text(statuses), formats.delta_text(out.deltas)
+        lines.append(f"  {state} {token} {status} <- {out.target} {out.move} {deltas}\n")
+    sys.stdout.write("".join(lines))
     if args.mode == "roundtrip":
         bad = reversibility.verify_roundtrip(machine, verdict.table, args.max_len)
         if bad is not None:

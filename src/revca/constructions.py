@@ -239,17 +239,20 @@ def _macro_step(norm, state, token, statuses, ell):
 
 
 def _numbered(machine: CounterAutomaton):
-    """Dense ids for a product factor's states, the initial state first: the
-    states by id, and each id's outgoing (token, target id, transition) rows
-    in declaration order."""
+    """Dense ids for a product factor's states, the initial state first, and
+    for its distinct (statuses, deltas) effects: the states by id, each
+    state id's outgoing (token, target id, effect id, transition) rows in
+    declaration order, and the number of effects."""
     ids = {machine.initial: 0}
+    effects: dict[tuple, int] = {}
     for t in machine.transitions:
         ids.setdefault(t.state, len(ids))
         ids.setdefault(t.target, len(ids))
+        effects.setdefault((t.statuses, t.deltas), len(effects))
     rows: list[list] = [[] for _ in ids]
     for t in machine.transitions:
-        rows[ids[t.state]].append((t.token, ids[t.target], t))
-    return list(ids), rows
+        rows[ids[t.state]].append((t.token, ids[t.target], effects[t.statuses, t.deltas], t))
+    return list(ids), rows, len(effects)
 
 
 def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterAutomaton:
@@ -262,30 +265,33 @@ def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterA
     their whole input, which holds for every machine built by this package.
 
     The search runs over pairs of dense factor-state ids, joining each pair's
-    outgoing rows on token, so every product state is hashed and built once.
+    outgoing rows on token, so every product state is hashed and built once;
+    each pair of factor effects is concatenated once, and the transitions
+    with that pair share its statuses and deltas tuples.
     """
     if m1.alphabet != m2.alphabet:
         raise AlphabetMismatchError(
             f"alphabets differ: {sorted(m1.alphabet)} vs {sorted(m2.alphabet)}"
         )
-    states1, rows1 = _numbered(m1)
-    states2, rows2 = _numbered(m2)
+    states1, rows1, _ = _numbered(m1)
+    states2, rows2, n_effects2 = _numbered(m2)
     joins2 = []
     for row in rows2:
         by_token: dict[str, list] = {}
-        for token, target, t2 in row:
-            by_token.setdefault(token, []).append((target, t2))
+        for token, target, effect, t2 in row:
+            by_token.setdefault(token, []).append((target, effect, t2))
         joins2.append(by_token)
     n2 = len(states2)
     initial = (m1.initial, m2.initial)
     pairs = {0: initial}  # id1 * n2 + id2 -> the pair state
+    joint: dict[int, tuple] = {}  # effect1 * n_effects2 + effect2 -> (statuses, deltas)
     frontier = [(0, 0, initial)]
     transitions = []
     while frontier:
         i, j, pair = frontier.pop()
         join = joins2[j]
-        for token, target1, t1 in rows1[i]:
-            for target2, t2 in join.get(token, ()):
+        for token, target1, effect1, t1 in rows1[i]:
+            for target2, effect2, t2 in join.get(token, ()):
                 if t1.move != t2.move:
                     raise MoveDisagreementError(t1, t2)
                 key = target1 * n2 + target2
@@ -293,9 +299,11 @@ def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterA
                 if target is None:
                     target = pairs[key] = (states1[target1], states2[target2])
                     frontier.append((target1, target2, target))
-                transitions.append(
-                    Transition(pair, token, t1.statuses + t2.statuses, target, t1.move, t1.deltas + t2.deltas)
-                )
+                joint_id = effect1 * n_effects2 + effect2
+                effect = joint.get(joint_id)
+                if effect is None:
+                    effect = joint[joint_id] = (t1.statuses + t2.statuses, t1.deltas + t2.deltas)
+                transitions.append(Transition(pair, token, effect[0], target, t1.move, effect[1]))
     accepting1 = {i for i, st in enumerate(states1) if st in m1.accepting}
     accepting2 = {j for j, st in enumerate(states2) if st in m2.accepting}
     accepting = frozenset(

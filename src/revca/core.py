@@ -253,39 +253,61 @@ def validate(machine: CounterAutomaton) -> list[str]:
         if st not in machine.states:
             defects.append(f"accepting state {st!r} not in states")
 
+    # the status and delta checks depend only on a transition's effect, so
+    # they run once per distinct effect; the prefix is built only for a defect
+    effects: dict[tuple[StatusVector, Deltas], tuple[list[str], list[str]]] = {}
     seen: dict[tuple, Transition] = {}
+    states, alphabet = machine.states, machine.alphabet
     for t in machine.transitions:
-        where = f"transition {t.state!r}/{t.token!r}/{''.join(t.statuses)}"
-        if t.state not in machine.states:
-            defects.append(f"{where}: unknown source state")
-        if t.target not in machine.states:
-            defects.append(f"{where}: unknown target state {t.target!r}")
-        if t.token not in machine.alphabet and t.token not in ENDMARKERS:
-            defects.append(f"{where}: unknown token")
-        if len(t.statuses) != machine.k:
-            defects.append(f"{where}: status vector has length {len(t.statuses)}, expected {machine.k}")
-        elif any(s not in (ZERO, POSITIVE) for s in t.statuses):
-            defects.append(f"{where}: bad status characters")
+        effect = effects.get((t.statuses, t.deltas))
+        if effect is None:
+            effect = effects[t.statuses, t.deltas] = _effect_defects(machine, t.statuses, t.deltas)
+        problems = []
+        if t.state not in states:
+            problems.append("unknown source state")
+        if t.target not in states:
+            problems.append(f"unknown target state {t.target!r}")
+        if t.token not in alphabet and t.token not in ENDMARKERS:
+            problems.append("unknown token")
+        problems += effect[0]
         if t.move not in (0, 1):
-            defects.append(f"{where}: move {t.move} not in {{0, 1}}")
+            problems.append(f"move {t.move} not in {{0, 1}}")
         if t.token == RIGHT_END and t.move == 1:
-            defects.append(f"{where}: rightward move on the right endmarker")
-        if len(t.deltas) != machine.k:
-            defects.append(f"{where}: delta vector has length {len(t.deltas)}, expected {machine.k}")
-        else:
-            for i, (status, delta) in enumerate(zip(t.statuses, t.deltas)):
-                if abs(delta) > machine.max_delta:
-                    defects.append(f"{where}: |delta[{i}]| = {abs(delta)} exceeds max_delta {machine.max_delta}")
-                if status == ZERO and delta < 0:
-                    defects.append(f"{where}: decrement on zero status at counter {i}")
+            problems.append("rightward move on the right endmarker")
+        problems += effect[1]
         prev = seen.get(t.key)
         if prev is None:
             seen[t.key] = t
         elif prev == t:
-            defects.append(f"{where}: duplicate transition")
+            problems.append("duplicate transition")
         else:
-            defects.append(f"{where}: nondeterministic key (two distinct outputs)")
+            problems.append("nondeterministic key (two distinct outputs)")
+        if problems:
+            where = f"transition {t.state!r}/{t.token!r}/{''.join(t.statuses)}"
+            defects += [f"{where}: {p}" for p in problems]
     return defects
+
+
+def _effect_defects(
+    machine: CounterAutomaton, statuses: StatusVector, deltas: Deltas
+) -> tuple[list[str], list[str]]:
+    """``validate``'s messages about a status vector and about a delta
+    vector keyed on it, without the transition prefix."""
+    status_defects = []
+    if len(statuses) != machine.k:
+        status_defects.append(f"status vector has length {len(statuses)}, expected {machine.k}")
+    elif any(s not in (ZERO, POSITIVE) for s in statuses):
+        status_defects.append("bad status characters")
+    delta_defects = []
+    if len(deltas) != machine.k:
+        delta_defects.append(f"delta vector has length {len(deltas)}, expected {machine.k}")
+    else:
+        for i, (status, delta) in enumerate(zip(statuses, deltas)):
+            if abs(delta) > machine.max_delta:
+                delta_defects.append(f"|delta[{i}]| = {abs(delta)} exceeds max_delta {machine.max_delta}")
+            if status == ZERO and delta < 0:
+                delta_defects.append(f"decrement on zero status at counter {i}")
+    return status_defects, delta_defects
 
 
 def check_configuration(machine: CounterAutomaton, cfg: Configuration) -> None:

@@ -8,6 +8,7 @@ the endmarkers in transition lines and are banned from alphabets.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (
     CounterAutomaton,
@@ -25,11 +26,13 @@ class FormatError(Exception):
         self.line_no = line_no
 
 
-def _content_lines(text: str):
+def _content_fields(text: str):
+    """(line number, whitespace-separated fields) of each line that holds
+    more than a comment."""
     for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield no, line
+        fields = raw.partition("#")[0].split()
+        if fields:
+            yield no, fields
 
 
 _Header = dict[str, list[tuple[int, list[str]]]]
@@ -55,12 +58,42 @@ def _header(header: _Header, tag: str, count: int | None = None, required: bool 
     return no, values
 
 
+_MOVES = {"0": 0, "1": 1}
+
+
+def _status_field(no: int, status: str, k: int) -> tuple[str, ...]:
+    statuses = () if status == "-" else tuple(status)
+    if len(statuses) != k or any(s not in "ZP" for s in statuses):
+        raise FormatError(no, f"status {status!r} is not a Z/P string of length {k}")
+    return statuses
+
+
+def _delta_field(no: int, deltas: str, k: int) -> tuple[int, ...]:
+    if deltas == "-":
+        ds: tuple[int, ...] = ()
+    else:
+        try:
+            ds = tuple(int(d) for d in deltas.split(","))
+        except ValueError:
+            raise FormatError(no, f"bad delta list {deltas!r}")
+    if len(ds) != k:
+        raise FormatError(no, f"expected {k} deltas, got {len(ds)}")
+    return ds
+
+
 def parse_automaton(text: str) -> CounterAutomaton:
+    """Parse a ``.rca`` text into a validated machine.
+
+    Each distinct status and delta field is checked and turned into a tuple
+    once, at the first line that holds it, and every later line with the
+    same field shares that tuple.
+    """
     header: _Header = {}
     transitions = []
     k = None
-    for no, line in _content_lines(text):
-        fields = line.split()
+    status_fields: dict[str, tuple[str, ...]] = {}
+    delta_fields: dict[str, tuple[int, ...]] = {}
+    for no, fields in _content_fields(text):
         tag = fields[0]
         if tag == "t":
             if k is None:
@@ -68,21 +101,15 @@ def parse_automaton(text: str) -> CounterAutomaton:
             if len(fields) != 8 or fields[4] != "->":
                 raise FormatError(no, "expected: t <state> <token> <status> -> <state> <move> <deltas>")
             _, state, token, status, _arrow, target, move, deltas = fields
-            statuses = () if status == "-" else tuple(status)
-            if len(statuses) != k or any(s not in "ZP" for s in statuses):
-                raise FormatError(no, f"status {status!r} is not a Z/P string of length {k}")
-            if move not in ("0", "1"):
+            statuses = status_fields.get(status)
+            if statuses is None:
+                statuses = status_fields[status] = _status_field(no, status, k)
+            if move not in _MOVES:
                 raise FormatError(no, f"move {move!r} not in {{0, 1}}")
-            if deltas == "-":
-                ds: tuple[int, ...] = ()
-            else:
-                try:
-                    ds = tuple(int(d) for d in deltas.split(","))
-                except ValueError:
-                    raise FormatError(no, f"bad delta list {deltas!r}")
-            if len(ds) != k:
-                raise FormatError(no, f"expected {k} deltas, got {len(ds)}")
-            transitions.append(Transition(state, token, statuses, target, int(move), ds))
+            ds = delta_fields.get(deltas)
+            if ds is None:
+                ds = delta_fields[deltas] = _delta_field(no, deltas, k)
+            transitions.append(Transition(state, token, statuses, target, _MOVES[move], ds))
         else:
             header.setdefault(tag, []).append((no, fields[1:]))
             if tag == "counters":
@@ -123,12 +150,21 @@ def parse_automaton(text: str) -> CounterAutomaton:
     return machine
 
 
-def _token_order(token: str) -> tuple[int, str]:
-    return ({LEFT_END: 0, RIGHT_END: 2}.get(token, 1), token)
+@lru_cache(maxsize=1024)
+def status_text(statuses: tuple[str, ...]) -> str:
+    """The status field of a transition line: ``ZP``, or ``-`` when k is 0."""
+    return "".join(statuses) or "-"
+
+
+@lru_cache(maxsize=1024)
+def delta_text(deltas: tuple[int, ...]) -> str:
+    """The delta field of a transition line: ``1,-1``, or ``-`` when k is 0."""
+    return ",".join(str(d) for d in deltas) or "-"
 
 
 def serialize_automaton(machine: CounterAutomaton) -> str:
-    """Canonical text: states sorted, transitions sorted by key."""
+    """Canonical text: states sorted, transitions sorted by key, the left
+    endmarker before the alphabet and the right one after it."""
     for st in machine.states:
         if not isinstance(st, str):
             raise TypeError(f"state {st!r} is not a string; rename_states first")
@@ -142,9 +178,11 @@ def serialize_automaton(machine: CounterAutomaton) -> str:
     lines.append("states " + " ".join(sorted(machine.states)))
     lines.append(f"initial {machine.initial}")
     lines.append("accepting " + " ".join(sorted(machine.accepting)))
-    for t in sorted(machine.transitions, key=lambda t: (t.state, _token_order(t.token), t.statuses)):
-        status = "".join(t.statuses) or "-"
-        deltas = ",".join(str(d) for d in t.deltas) or "-"
+    token_order = {LEFT_END: 0, RIGHT_END: 2}
+    for t in sorted(
+        machine.transitions, key=lambda t: (t.state, token_order.get(t.token, 1), t.token, t.statuses)
+    ):
+        status, deltas = status_text(t.statuses), delta_text(t.deltas)
         lines.append(f"t {t.state} {t.token} {status} -> {t.target} {t.move} {deltas}")
     return "\n".join(lines) + "\n"
 
@@ -152,15 +190,14 @@ def serialize_automaton(machine: CounterAutomaton) -> str:
 def parse_mcm(text: str) -> MultCounterMachine:
     header: _Header = {}
     rules = []
-    for no, line in _content_lines(text):
-        fields = line.split()
+    for no, fields in _content_fields(text):
         if fields[0] == "r":
             if len(fields) != 5:
                 raise FormatError(no, "expected: r <state> <mult> <p> <r>")
             _, q, mult, p, rr = fields
             try:
                 m = Fraction(mult)
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise FormatError(no, f"bad multiplicand {mult!r}")
             rules.append((q, m, p, rr))
         else:

@@ -123,25 +123,32 @@ def derive_reverse(machine: CounterAutomaton) -> ReversibilityVerdict:
 def derive_reverse_any(machine: CounterAutomaton) -> ReversibilityVerdict:
     """Derivation without the max_delta guard, for internal construction use.
 
-    Each entry key is hashed once on the way in; the forward transitions
-    behind the entries are only looked up again to report conflicts.
+    Each entry key is hashed once on the way in, and each new entry's
+    (state, post-statuses) group is checked for one backward move right
+    there; the forward transitions behind the entries are only looked up
+    again to report conflicts.  Each distinct (statuses, deltas) effect is
+    negated and expanded to its post-status vectors once.
     """
     entries: dict[tuple, ReverseStep] = {}
+    moves: dict[tuple, int] = {}  # one backward move per (state, post-statuses)
     preimage_clashes: list[tuple[tuple, Transition]] = []
+    move_clashes: list[tuple[tuple, tuple]] = []
+    effects: dict[tuple, tuple] = {}  # (statuses, deltas) -> (negated deltas, post statuses)
     for t in machine.transitions:
-        reverse = ReverseStep(t.state, -t.move, tuple(-d for d in t.deltas))
-        for post in _post_statuses(t):
+        effect = effects.get((t.statuses, t.deltas))
+        if effect is None:
+            effect = effects[t.statuses, t.deltas] = (tuple(-d for d in t.deltas), _post_statuses(t))
+        move = -t.move
+        reverse = ReverseStep(t.state, move, effect[0])
+        for post in effect[1]:
             key = (t.target, t.token, post)
             first = entries.setdefault(key, reverse)
-            if first is not reverse and first != reverse:
+            if first is reverse:
+                group = (t.target, post)
+                if moves.setdefault(group, move) != move:
+                    move_clashes.append((group, key))
+            elif first != reverse:
                 preimage_clashes.append((key, t))
-    # one backward move per (state, post-statuses), across consumed tokens
-    moves: dict[tuple, int] = {}
-    move_clashes: list[tuple[tuple, tuple]] = []
-    for key, out in entries.items():
-        group = (key[0], key[2])
-        if moves.setdefault(group, out.move) != out.move:
-            move_clashes.append((group, key))
     if not (preimage_clashes or move_clashes):
         return ReversibilityVerdict(ReverseTable(entries, _moves=moves))
     origin: dict[tuple, Transition] = {}

@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from revca.cli import main
 from revca.formats import (
@@ -223,9 +224,11 @@ DOUBLE_TEXT = (MACHINES / "double.mcm").read_text()
         (".mcm", DOUBLE_TEXT, "final qf\n", "final\n", 4),
         (".mcm", DOUBLE_TEXT, "mcm-format 1\n", "mcm-format\n", 1),
         (".rca", EQ_AB_TEXT, "counters 1\n", "counters 1\ncounters 0\n", 3),
+        (".mcm", DOUBLE_TEXT, "r q0 2 qf qf\n", "r q0 1/0 qf qf\n", 5),
     ],
     ids=["maxdelta-empty", "maxdelta-not-int", "initial-empty", "version-empty",
-         "mcm-initial-empty", "mcm-final-empty", "mcm-version-empty", "counters-repeated"],
+         "mcm-initial-empty", "mcm-final-empty", "mcm-version-empty", "counters-repeated",
+         "mcm-zero-denominator"],
 )
 def test_cli_malformed_header_exit_2(tmp_path, capsys, suffix, original, old, new, line):
     text = original.replace(old, new, 1)
@@ -235,3 +238,98 @@ def test_cli_malformed_header_exit_2(tmp_path, capsys, suffix, original, old, ne
     argv = ["check", str(path)] if suffix == ".rca" else ["mcm", "run", str(path), "--i", "1"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: line {line}:")
+
+
+# SHA-256 of `revca check` stdout; the hartmanis entry checks the history
+# acceptor that `revca valc build machines/hartmanis.mcm` writes.
+CHECK_SHA256 = {
+    "eq_ab": "631485a6364c3bf0374acb04a84470f56b35d596c8d74c0945424fc7d68ff1ce",
+    "hartmanis": "0a8d9412d02164d5b11c7abd4f0cc2c0575a32a4ec24d4b2788a99fbea156edc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_SHA256))
+def test_cli_check_output_is_pinned(name, tmp_path, capsys, request):
+    import hashlib
+
+    from revca.cli import _serialize
+
+    if name == "eq_ab":
+        path = MACHINES / "eq_ab.rca"
+    else:
+        prod = request.getfixturevalue("valc_machines")[name][3]
+        path = tmp_path / f"{name}.rca"
+        path.write_text(_serialize(prod))
+    assert main(["check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_SHA256[name]
+
+
+# State names whose reprs order differently from the names themselves: `!`
+# and `&` sort below the closing quote, and a name holding a quote changes
+# the quote style of its repr.
+ODD_NAMES = ["s1", "s1!", "s1&", "s10", "s1'", 'q"', "q'\"", "p'x", '"']
+
+
+def test_cli_check_lists_entries_in_repr_order(tmp_path, capsys):
+    from revca.core import make_automaton
+    from revca.reversibility import derive_reverse
+
+    rows = []
+    chain = ["start", *ODD_NAMES]
+    for src, dst in zip(chain, chain[1:]):
+        rows.append((src, "a", "Z", dst, 1, (1,)))
+        rows.append((src, "a", "P", dst, 1, (1,)))
+        rows.append((src, "b", "P", dst, 1, (-1,)))
+    rows.append(("start", "<", "Z", ODD_NAMES[0], 1, (0,)))
+    machine = make_automaton(rows, initial="start", accepting=[chain[-1]], k=1)
+    path = tmp_path / "odd.rca"
+    path.write_text(serialize_automaton(machine))
+    assert main(["check", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    entries = derive_reverse(parse_automaton(path.read_text())).table.entries
+    expected = [f"REVERSIBLE ({len(entries)} backward entries)"]
+    for (state, token, statuses), out in sorted(entries.items(), key=repr):
+        status = "".join(statuses) or "-"
+        deltas = ",".join(str(d) for d in out.deltas) or "-"
+        expected.append(f"  {state} {token} {status} <- {out.target} {out.move} {deltas}")
+    assert lines == expected
+    assert sorted(ODD_NAMES) != sorted(ODD_NAMES, key=repr)  # the order is not the plain one
+
+
+@st.composite
+def corrupted_eq_ab(draw):
+    """eq_ab.rca with some transition lines given a bad status, move or delta
+    field; returns the text and the (line, message) of the first bad line."""
+    lines = EQ_AB_TEXT.splitlines()
+    bad = {
+        "status": ("X", "status 'X' is not a Z/P string of length 1"),
+        "move": ("2", "move '2' not in {0, 1}"),
+        "deltas": ("1,x", "bad delta list '1,x'"),
+        "count": ("0,0", "expected 1 deltas, got 2"),
+    }
+    slot = {"status": 3, "move": 6, "deltas": 7, "count": 7}
+    first = None
+    for no, line in enumerate(lines, start=1):
+        if not line.startswith("t "):
+            continue
+        kind = draw(st.sampled_from([None, None, *bad]))
+        if kind is None:
+            continue
+        fields = line.split()
+        fields[slot[kind]] = bad[kind][0]
+        lines[no - 1] = " ".join(fields)
+        if first is None:
+            first = (no, bad[kind][1])
+    return "\n".join(lines) + "\n", first
+
+
+@given(corrupted_eq_ab())
+def test_parse_reports_first_bad_field_at_its_line(case):
+    text, first = case
+    if first is None:
+        assert parse_automaton(text) == build_eq_ab()
+        return
+    with pytest.raises(FormatError) as err:
+        parse_automaton(text)
+    assert str(err.value) == f"line {first[0]}: {first[1]}"

@@ -256,3 +256,94 @@ def test_run_matches_step_by_step_reference(machine, word, fuel):
         return
     out = run(machine, word, fuel, trace=True)
     assert (out.verdict, out.steps, out.final, out.trace, out.diagnostic) == expected
+
+
+def _validate_reference(machine):
+    """Transition-by-transition statement of ``validate``'s contract: the
+    same messages in the same order, each transition checked on its own."""
+    defects = []
+    if machine.k < 0:
+        defects.append(f"counter count k={machine.k} is negative")
+    if machine.max_delta < 1:
+        defects.append(f"max_delta {machine.max_delta} must be at least 1")
+    for token in sorted(machine.alphabet):
+        if not token:
+            defects.append("empty token in alphabet")
+        elif any(ch.isspace() for ch in token):
+            defects.append(f"token {token!r} contains whitespace")
+        if token in ("<", ">"):
+            defects.append(f"reserved endmarker {token!r} declared in alphabet")
+    if machine.initial not in machine.states:
+        defects.append(f"initial state {machine.initial!r} not in states")
+    for state in machine.accepting:
+        if state not in machine.states:
+            defects.append(f"accepting state {state!r} not in states")
+    seen = {}
+    for t in machine.transitions:
+        where = f"transition {t.state!r}/{t.token!r}/{''.join(t.statuses)}"
+        if t.state not in machine.states:
+            defects.append(f"{where}: unknown source state")
+        if t.target not in machine.states:
+            defects.append(f"{where}: unknown target state {t.target!r}")
+        if t.token not in machine.alphabet and t.token not in ("<", ">"):
+            defects.append(f"{where}: unknown token")
+        if len(t.statuses) != machine.k:
+            defects.append(f"{where}: status vector has length {len(t.statuses)}, expected {machine.k}")
+        elif any(s not in ("Z", "P") for s in t.statuses):
+            defects.append(f"{where}: bad status characters")
+        if t.move not in (0, 1):
+            defects.append(f"{where}: move {t.move} not in {{0, 1}}")
+        if t.token == ">" and t.move == 1:
+            defects.append(f"{where}: rightward move on the right endmarker")
+        if len(t.deltas) != machine.k:
+            defects.append(f"{where}: delta vector has length {len(t.deltas)}, expected {machine.k}")
+        else:
+            for i, (status, delta) in enumerate(zip(t.statuses, t.deltas)):
+                if abs(delta) > machine.max_delta:
+                    defects.append(f"{where}: |delta[{i}]| = {abs(delta)} exceeds max_delta {machine.max_delta}")
+                if status == "Z" and delta < 0:
+                    defects.append(f"{where}: decrement on zero status at counter {i}")
+        prev = seen.get(t.key)
+        if prev is None:
+            seen[t.key] = t
+        elif prev == t:
+            defects.append(f"{where}: duplicate transition")
+        else:
+            defects.append(f"{where}: nondeterministic key (two distinct outputs)")
+    return defects
+
+
+@st.composite
+def malformed_machines(draw):
+    """Small machines drawn from narrow pools, so that unknown states, bad
+    status or delta vectors, repeated keys and right-end moves are common."""
+    k = draw(st.integers(min_value=0, max_value=2))
+    vector = st.lists(st.sampled_from("ZPX"), min_size=max(k - 1, 0), max_size=k + 1)
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from("pqx"),
+                st.sampled_from(["<", "a", "b", "c", ">"]),
+                vector,
+                st.sampled_from("pqx"),
+                st.integers(min_value=0, max_value=2),
+                st.lists(st.integers(min_value=-3, max_value=3), min_size=max(k - 1, 0), max_size=k + 1),
+            ),
+            max_size=16,
+        )
+    )
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []  # repeats
+    return make_automaton(
+        rows,
+        initial=draw(st.sampled_from("px")),
+        accepting=draw(st.sets(st.sampled_from("pqx"))),
+        k=k,
+        alphabet=draw(st.sets(st.sampled_from(["a", "b", "<", "", "a b"]))),
+        states="pq",
+        max_delta=draw(st.integers(min_value=0, max_value=2)),
+    )
+
+
+@given(malformed_machines())
+def test_validate_matches_per_transition_reference(machine):
+    assert validate(machine) == _validate_reference(machine)
