@@ -4,7 +4,8 @@ Three transformations live here:
 
 * ``normalize_extended`` turns a machine whose steps may change a counter by
   any amount up to ``c`` into an ordinary one, splitting each counter value x
-  into the stored value x // c plus a residue x % c kept in the state.
+  into the stored value x // c plus a residue x % c kept in the state, and
+  building only the (state, residues) pairs reachable from the initial one.
 * ``speedup`` removes stationary moves from a quasi-real-time machine by
   collapsing each maximal run of stationary steps plus the following moving
   step into a single macro-step, then normalizing the oversized deltas away.
@@ -24,7 +25,6 @@ from .core import (
     POSITIVE,
     Transition,
     ZERO,
-    restrict_to_reachable,
     status_of,
     validate,
 )
@@ -49,16 +49,6 @@ class MoveDisagreementError(MachineError):
         self.second = second
 
 
-def _residue_vectors(c: int, k: int):
-    return iproduct(range(c), repeat=k)
-
-
-def _lift_status(residue: int, status: str) -> str:
-    # original counter is zero exactly when both the residue and the stored
-    # quotient are zero
-    return ZERO if (residue == 0 and status == ZERO) else POSITIVE
-
-
 def _mod_case(m: int, b: int, c: int) -> tuple[int, int]:
     """Residue update and carry for one counter: new residue in [0, c) plus a
     stored-value delta in {-1, 0, 1}."""
@@ -70,29 +60,27 @@ def _mod_case(m: int, b: int, c: int) -> tuple[int, int]:
     return s - c, 1
 
 
-def _carry_steps(rows: list[tuple], c: int, k: int):
+def _carry(residues: tuple[int, ...], statuses: tuple[str, ...], deltas: tuple[int, ...], c: int):
     """The residue/carry kernel shared by machine and reverse-table
-    normalization.
+    normalization: one source row (statuses, deltas) at one residue vector.
 
-    ``rows`` holds (source statuses, source deltas, payload) triples.  For
-    every residue vector and stored-value status vector whose lifted statuses
-    match a row, yields (residues, statuses, payload, new residues, carries).
-    Combinations whose carry would decrement a zero-status counter are
-    dropped: they correspond to source steps that would drive the value
-    negative, which the model forbids.
+    Yields (stored statuses, new residues, carries) for every stored-value
+    status vector that lifts to ``statuses`` (a source counter is zero
+    exactly when its residue and stored value both are).  A carry that would
+    decrement a zero stored value is dropped: it stands for a source step
+    that would drive the value negative, which the model forbids.
     """
-    for residues in _residue_vectors(c, k):
-        for statuses in iproduct((ZERO, POSITIVE), repeat=k):
-            lifted = tuple(_lift_status(m, d) for m, d in zip(residues, statuses))
-            for source, deltas, payload in rows:
-                if source != lifted:
-                    continue
-                cases = [_mod_case(m, b, c) for m, b in zip(residues, deltas)]
-                if any(d == ZERO and b < 0 for d, (_, b) in zip(statuses, cases)):
-                    continue
-                new_res = tuple(m for m, _ in cases)
-                carries = tuple(b for _, b in cases)
-                yield residues, statuses, payload, new_res, carries
+    cases = [_mod_case(m, b, c) for m, b in zip(residues, deltas)]
+    choices = []
+    for m, s, (_, carry) in zip(residues, statuses, cases):
+        if s == ZERO:
+            choices.append(() if m or carry < 0 else (ZERO,))
+        else:
+            choices.append((POSITIVE,) if m == 0 or carry < 0 else (ZERO, POSITIVE))
+    new_res = tuple(m for m, _ in cases)
+    carries = tuple(b for _, b in cases)
+    for stored in iproduct(*choices):
+        yield stored, new_res, carries
 
 
 def normalize_extended(
@@ -102,30 +90,36 @@ def normalize_extended(
     """Simulate an extended machine step for step with ordinary unit deltas.
 
     States become (state, residues); a counter value x of the source is
-    represented as stored value x // c with residue x % c in the state.
-    Accepting states keep every residue combination.
+    represented as stored value x // c with residue x % c in the state.  Only
+    the pairs reachable from (initial, zeros) are built.
 
     With a reverse table for the source supplied, the mirrored construction is
-    applied to it and (machine, table) is returned; otherwise just the machine.
+    applied to it over every residue vector, and (machine, table) is returned;
+    otherwise just the machine.
     """
     defects = validate(machine)
     if defects:
         raise MachineError("normalize_extended needs a clean machine: " + "; ".join(defects))
-    c = machine.max_delta
-    k = machine.k
-    rows = [(t.statuses, t.deltas, t) for t in machine.transitions]
-    transitions = tuple(
-        Transition((t.state, residues), t.token, statuses, (t.target, new_res), t.move, carries)
-        for residues, statuses, t, new_res, carries in _carry_steps(rows, c, k)
-    )
-    residues = list(_residue_vectors(c, k))
+    c, k = machine.max_delta, machine.k
+    initial = (machine.initial, (0,) * k)
+    seen, frontier = {initial}, [initial]
+    transitions = []
+    while frontier:
+        state, residues = source = frontier.pop()
+        for t in machine.outgoing.get(state, ()):
+            for statuses, new_res, carries in _carry(residues, t.statuses, t.deltas, c):
+                target = (t.target, new_res)
+                if target not in seen:
+                    seen.add(target)
+                    frontier.append(target)
+                transitions.append(Transition(source, t.token, statuses, target, t.move, carries))
     out = CounterAutomaton(
-        states=frozenset(iproduct(machine.states, residues)),
+        states=frozenset(seen),
         alphabet=machine.alphabet,
         k=k,
-        transitions=transitions,
-        initial=(machine.initial, (0,) * k),
-        accepting=frozenset(iproduct(machine.accepting, residues)),
+        transitions=tuple(transitions),
+        initial=initial,
+        accepting=frozenset(st for st in seen if st[0] in machine.accepting),
         max_delta=1,
         name=f"norm({machine.name})" if machine.name else "",
     )
@@ -135,10 +129,11 @@ def normalize_extended(
 
 
 def _normalize_reverse(reverse: ReverseTable, c: int, k: int) -> ReverseTable:
-    rows = [(key[2], out.deltas, (key, out)) for key, out in reverse.entries.items()]
     entries = {}
-    for residues, statuses, ((state, token, _post), out), new_res, carries in _carry_steps(rows, c, k):
-        entries[((state, residues), token, statuses)] = ReverseStep((out.target, new_res), out.move, carries)
+    for residues in iproduct(range(c), repeat=k):
+        for (state, token, post), out in reverse.entries.items():
+            for statuses, new_res, carries in _carry(residues, post, out.deltas, c):
+                entries[(state, residues), token, statuses] = ReverseStep((out.target, new_res), out.move, carries)
     return ReverseTable(entries)
 
 
@@ -192,7 +187,7 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
         return machine
     c = ell + 1
     # deltas stay within 1; max_delta c leaves room for the macro-step deltas
-    norm = restrict_to_reachable(normalize_extended(replace(machine, max_delta=c)))
+    norm = normalize_extended(replace(machine, max_delta=c))
     norm = remove_initial_left_loops(norm)
 
     macro_transitions = []
@@ -205,7 +200,7 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
         max_delta=c,
         name=f"macro({machine.name})" if machine.name else "",
     )
-    out = restrict_to_reachable(normalize_extended(restrict_to_reachable(macro_machine)))
+    out = normalize_extended(macro_machine)
     return replace(out, name=f"rt({machine.name})" if machine.name else "")
 
 

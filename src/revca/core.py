@@ -235,30 +235,36 @@ def validate(machine: CounterAutomaton) -> list[str]:
     rightward move while scanning the right endmarker (so the head can never
     pass the endmarkers).
     """
-    defects = []
+    return [message for _, message in defects_by_transition(machine)]
+
+
+def defects_by_transition(machine: CounterAutomaton):
+    """``validate``'s messages, in order, each with the index in
+    ``machine.transitions`` of the transition it belongs to, or None for a
+    defect of the machine as a whole."""
     if machine.k < 0:
-        defects.append(f"counter count k={machine.k} is negative")
+        yield None, f"counter count k={machine.k} is negative"
     if machine.max_delta < 1:
-        defects.append(f"max_delta {machine.max_delta} must be at least 1")
+        yield None, f"max_delta {machine.max_delta} must be at least 1"
     for token in sorted(machine.alphabet):
         if not token:
-            defects.append("empty token in alphabet")
+            yield None, "empty token in alphabet"
         elif any(ch.isspace() for ch in token):
-            defects.append(f"token {token!r} contains whitespace")
+            yield None, f"token {token!r} contains whitespace"
         if token in ENDMARKERS:
-            defects.append(f"reserved endmarker {token!r} declared in alphabet")
+            yield None, f"reserved endmarker {token!r} declared in alphabet"
     if machine.initial not in machine.states:
-        defects.append(f"initial state {machine.initial!r} not in states")
+        yield None, f"initial state {machine.initial!r} not in states"
     for st in machine.accepting:
         if st not in machine.states:
-            defects.append(f"accepting state {st!r} not in states")
+            yield None, f"accepting state {st!r} not in states"
 
     # the status and delta checks depend only on a transition's effect, so
     # they run once per distinct effect; the prefix is built only for a defect
     effects: dict[tuple[StatusVector, Deltas], tuple[list[str], list[str]]] = {}
     seen: dict[tuple, Transition] = {}
     states, alphabet = machine.states, machine.alphabet
-    for t in machine.transitions:
+    for i, t in enumerate(machine.transitions):
         effect = effects.get((t.statuses, t.deltas))
         if effect is None:
             effect = effects[t.statuses, t.deltas] = _effect_defects(machine, t.statuses, t.deltas)
@@ -284,8 +290,8 @@ def validate(machine: CounterAutomaton) -> list[str]:
             problems.append("nondeterministic key (two distinct outputs)")
         if problems:
             where = f"transition {t.state!r}/{t.token!r}/{''.join(t.statuses)}"
-            defects += [f"{where}: {p}" for p in problems]
-    return defects
+            for p in problems:
+                yield i, f"{where}: {p}"
 
 
 def _effect_defects(
@@ -403,29 +409,6 @@ def all_words(alphabet: Iterable[str], max_len: int):
     for n in range(max_len + 1):
         for combo in product(letters, repeat=n):
             yield combo
-
-
-def reachable_states(machine: CounterAutomaton) -> set:
-    """States reachable when counter statuses are treated as unconstrained."""
-    seen = {machine.initial}
-    frontier = [machine.initial]
-    while frontier:
-        st = frontier.pop()
-        for t in machine.outgoing.get(st, ()):
-            if t.target not in seen:
-                seen.add(t.target)
-                frontier.append(t.target)
-    return seen
-
-
-def restrict_to_reachable(machine: CounterAutomaton) -> CounterAutomaton:
-    live = reachable_states(machine)
-    return replace(
-        machine,
-        states=frozenset(live),
-        transitions=tuple(t for t in machine.transitions if t.state in live),
-        accepting=frozenset(s for s in machine.accepting if s in live),
-    )
 
 
 def rename_states(machine: CounterAutomaton, prefix: str = "s") -> CounterAutomaton:

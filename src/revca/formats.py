@@ -15,9 +15,9 @@ from .core import (
     LEFT_END,
     RIGHT_END,
     Transition,
-    validate,
+    defects_by_transition,
 )
-from .mcm import McmError, MultCounterMachine, make_mcm
+from .mcm import McmError, McmRule, MultCounterMachine, make_mcm
 
 
 class FormatError(Exception):
@@ -90,6 +90,7 @@ def parse_automaton(text: str) -> CounterAutomaton:
     """
     header: _Header = {}
     transitions = []
+    lines = []  # the line number of each transition
     k = None
     status_fields: dict[str, tuple[str, ...]] = {}
     delta_fields: dict[str, tuple[int, ...]] = {}
@@ -110,6 +111,7 @@ def parse_automaton(text: str) -> CounterAutomaton:
             if ds is None:
                 ds = delta_fields[deltas] = _delta_field(no, deltas, k)
             transitions.append(Transition(state, token, statuses, target, _MOVES[move], ds))
+            lines.append(no)
         else:
             header.setdefault(tag, []).append((no, fields[1:]))
             if tag == "counters":
@@ -144,9 +146,10 @@ def parse_automaton(text: str) -> CounterAutomaton:
         accepting=frozenset(_header(header, "accepting")[1]),
         max_delta=max_delta,
     )
-    defects = validate(machine)
+    defects = list(defects_by_transition(machine))
     if defects:
-        raise FormatError(0, "invalid machine: " + "; ".join(defects))
+        no = next((lines[i] for i, _ in defects if i is not None), 0)
+        raise FormatError(no, "invalid machine: " + "; ".join(message for _, message in defects))
     return machine
 
 
@@ -190,6 +193,7 @@ def serialize_automaton(machine: CounterAutomaton) -> str:
 def parse_mcm(text: str) -> MultCounterMachine:
     header: _Header = {}
     rules = []
+    lines = {}  # rule -> the line number of its last occurrence
     for no, fields in _content_fields(text):
         if fields[0] == "r":
             if len(fields) != 5:
@@ -200,6 +204,7 @@ def parse_mcm(text: str) -> MultCounterMachine:
             except (ValueError, ZeroDivisionError):
                 raise FormatError(no, f"bad multiplicand {mult!r}")
             rules.append((q, m, p, rr))
+            lines[McmRule(q, m, p, rr)] = no
         else:
             header.setdefault(fields[0], []).append((no, fields[1:]))
 
@@ -212,7 +217,7 @@ def parse_mcm(text: str) -> MultCounterMachine:
     try:
         return make_mcm(rules, initial=initial, final=final, states=states)
     except McmError as exc:
-        raise FormatError(0, str(exc))
+        raise FormatError(lines.get(exc.rule, 0), str(exc))
 
 
 def serialize_mcm(machine: MultCounterMachine) -> str:

@@ -23,7 +23,9 @@ MULTIPLICANDS = (
 
 
 class McmError(Exception):
-    pass
+    def __init__(self, message: str, rule: McmRule | None = None):
+        super().__init__(message)
+        self.rule = rule  # the first rule with a defect, if any
 
 
 class McmRule(NamedTuple):
@@ -57,28 +59,31 @@ class MultCounterMachine:
         return {r.state: r for r in self.rules}
 
     def validate(self) -> list[str]:
-        defects = []
+        return [message for _, message in self.defects_by_rule()]
+
+    def defects_by_rule(self):
+        """``validate``'s messages, in order, each with the rule it belongs
+        to, or None for a defect of the machine as a whole."""
         seen = set()
         for r in self.rules:
             if r.state in seen:
-                defects.append(f"two rules share first component {r.state!r}")
+                yield r, f"two rules share first component {r.state!r}"
             seen.add(r.state)
             if r.state == self.final:
-                defects.append(f"rule on the final state {self.final!r}")
+                yield r, f"rule on the final state {self.final!r}"
             if self.initial in (r.on_integer, r.on_fraction):
-                defects.append(f"rule {r.state!r} targets the initial state")
+                yield r, f"rule {r.state!r} targets the initial state"
             if r.mult not in MULTIPLICANDS:
-                defects.append(f"multiplicand {r.mult} outside the stock")
+                yield r, f"multiplicand {r.mult} outside the stock"
             for st in (r.state, r.on_integer, r.on_fraction):
                 if st not in self.states:
-                    defects.append(f"rule {r.state!r} references unknown state {st!r}")
+                    yield r, f"rule {r.state!r} references unknown state {st!r}"
         if self.initial not in self.states:
-            defects.append(f"initial state {self.initial!r} unknown")
+            yield None, f"initial state {self.initial!r} unknown"
         if self.final not in self.states:
-            defects.append(f"final state {self.final!r} unknown")
+            yield None, f"final state {self.final!r} unknown"
         if self.initial == self.final:
-            defects.append("initial and final states coincide")
-        return defects
+            yield None, "initial and final states coincide"
 
 
 @dataclass
@@ -100,9 +105,10 @@ def make_mcm(rules, initial="q0", final="qf", states=None, name="") -> MultCount
         for r in rs:
             states |= {r.state, r.on_integer, r.on_fraction}
     machine = MultCounterMachine(frozenset(states), rs, initial, final, name)
-    defects = machine.validate()
+    defects = list(machine.defects_by_rule())
     if defects:
-        raise McmError("; ".join(defects))
+        rule = next((r for r, _ in defects if r is not None), None)
+        raise McmError("; ".join(message for _, message in defects), rule)
     return machine
 
 

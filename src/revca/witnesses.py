@@ -95,11 +95,11 @@ def brute_force_Lk(k: int, word: str) -> bool:
     u z1 $^i z2 v and check the value equation directly."""
     n = len(word)
     for p1 in range(n):
+        if p1 and word[p1 - 1] not in "ab":
+            break  # u = word[:p1] must lie in {a, b}*, so no later p1 can split the word
         if word[p1] not in BARRED:
             continue
         if (p1 + 1) % k or p1 == 0:
-            continue
-        if any(ch not in "ab" for ch in word[:p1]):
             continue
         for p2 in range(p1 + 1, n):
             if word[p2] not in BARRED:

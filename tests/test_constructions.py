@@ -13,6 +13,7 @@ from revca.constructions import (
 )
 from revca.core import Transition, all_words, make_automaton, run, validate
 from revca.reversibility import (
+    ReverseStep,
     derive_reverse,
     derive_reverse_any,
     step_back,
@@ -129,6 +130,74 @@ def test_normalize_random_machines():
             for ca, cb in zip(a.trace, b.trace):
                 for orig, stored, res in zip(ca.counters, cb.counters, cb.state[1]):
                     assert orig == m.max_delta * stored + res
+
+
+def _normalize_reference(machine, reverse=None):
+    """Normalization as first defined: a step from every (state, residue
+    vector, stored-status vector) whose lifted statuses match a source row,
+    then the machine restricted to the states reachable from (initial,
+    zeros); the mirrored reverse table keeps every residue vector."""
+    c, k = machine.max_delta, machine.k
+
+    def steps(rows):
+        for residues in cartesian(range(c), repeat=k):
+            for stored in cartesian("ZP", repeat=k):
+                lifted = tuple("Z" if m == 0 and s == "Z" else "P" for m, s in zip(residues, stored))
+                for source, deltas, payload in rows:
+                    cases = [divmod(m + b, c) for m, b in zip(residues, deltas)]
+                    if source != lifted or any(s == "Z" and q < 0 for s, (q, _) in zip(stored, cases)):
+                        continue
+                    yield residues, stored, payload, tuple(r for _, r in cases), tuple(q for q, _ in cases)
+
+    rows = [(t.statuses, t.deltas, t) for t in machine.transitions]
+    transitions = {
+        Transition((t.state, res), t.token, stored, (t.target, new), t.move, carries)
+        for res, stored, t, new, carries in steps(rows)
+    }
+    initial = (machine.initial, (0,) * k)
+    live, frontier = {initial}, [initial]
+    while frontier:
+        state = frontier.pop()
+        for t in transitions:
+            if t.state == state and t.target not in live:
+                live.add(t.target)
+                frontier.append(t.target)
+    accepting = {st for st in live if st[0] in machine.accepting}
+    transitions = {t for t in transitions if t.state in live}
+    if reverse is None:
+        return live, initial, accepting, transitions, None
+    rows = [(key[2], out.deltas, (key, out)) for key, out in reverse.entries.items()]
+    entries = {
+        ((state, res), token, stored): ReverseStep((out.target, new), out.move, carries)
+        for res, stored, ((state, token, _), out), new, carries in steps(rows)
+    }
+    return live, initial, accepting, transitions, entries
+
+
+def test_normalize_matches_full_product_reference():
+    rng = random.Random(60221)
+    machines = [extended_demo()]
+    while len(machines) < 201:
+        m = random_extended_machine(rng)
+        if not validate(m):
+            machines.append(m)
+    reversible = 0
+    for m in machines:
+        verdict = derive_reverse_any(m)
+        table = verdict.table if verdict.reversible else None
+        states, initial, accepting, transitions, entries = _normalize_reference(m, table)
+        if table is None:
+            norm = normalize_extended(m)
+        else:
+            reversible += 1
+            norm, norm_table = normalize_extended(m, reverse=table)
+            assert norm_table.entries == entries, m
+        assert norm.states == states, m
+        assert norm.initial == initial
+        assert norm.accepting == accepting, m
+        assert len(norm.transitions) == len(transitions)
+        assert set(norm.transitions) == transitions, m
+    assert reversible >= 10  # the mirrored tables were exercised
 
 
 def test_speedup_identity_at_zero():
