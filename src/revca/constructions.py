@@ -25,6 +25,7 @@ from .core import (
     POSITIVE,
     Transition,
     ZERO,
+    collector_paused,
     status_of,
     validate,
 )
@@ -83,6 +84,7 @@ def _carry(residues: tuple[int, ...], statuses: tuple[str, ...], deltas: tuple[i
         yield stored, new_res, carries
 
 
+@collector_paused
 def normalize_extended(
     machine: CounterAutomaton,
     reverse: Optional[ReverseTable] = None,
@@ -250,6 +252,7 @@ def _numbered(machine: CounterAutomaton):
     return list(ids), rows, len(effects)
 
 
+@collector_paused
 def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterAutomaton:
     """Cartesian-product machine accepting L(m1) ∩ L(m2).
 

@@ -11,8 +11,9 @@ transition) in an accepting state.
 from __future__ import annotations
 
 import enum
+import gc
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import product
 from operator import add, itemgetter
 from typing import Any, Iterable, NamedTuple, Optional
@@ -49,6 +50,31 @@ class InvalidTransitionEffectError(MachineError):
 
 class NegativeCounterError(MachineError):
     pass
+
+
+def collector_paused(fn):
+    """Run ``fn`` with CPython's cyclic garbage collector paused.
+
+    The bulk constructions allocate hundreds of thousands of tracked tuples
+    (``Transition`` and ``ReverseStep`` are named tuples, which CPython never
+    untracks) and build no reference cycles, so the collector's passes over
+    them free nothing; reference counting still frees whatever they drop.
+    The collector is re-enabled on exit only if it was enabled on entry, so
+    nested calls, and callers that paused it themselves, keep their setting.
+    The switch is process-wide: other threads run paused meanwhile too.
+    """
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class Transition(NamedTuple):
@@ -411,6 +437,7 @@ def all_words(alphabet: Iterable[str], max_len: int):
             yield combo
 
 
+@collector_paused
 def rename_states(machine: CounterAutomaton, prefix: str = "s") -> CounterAutomaton:
     """Deterministically rename states to short strings (breadth-first from the
     initial state, leftovers in repr order); used before serialization since

@@ -27,6 +27,7 @@ from .core import (
     ZERO,
     all_words,
     check_configuration,
+    collector_paused,
     run,
 )
 
@@ -120,6 +121,7 @@ def derive_reverse(machine: CounterAutomaton) -> ReversibilityVerdict:
     return derive_reverse_any(machine)
 
 
+@collector_paused
 def derive_reverse_any(machine: CounterAutomaton) -> ReversibilityVerdict:
     """Derivation without the max_delta guard, for internal construction use.
 
@@ -213,6 +215,8 @@ def verify_roundtrip(
     steps each run's configurations back through the table; returns the first
     violation, or None when everything round-trips.
     """
+    if max_len < 0:
+        raise ValueError("max_len must be non-negative")
     for word in all_words(machine.alphabet, max_len):
         bad = roundtrip_word(machine, table, word, fuel)
         if bad is not None:
@@ -260,6 +264,8 @@ def check_quasi_realtime(
     """
     if ell < 0:
         raise ValueError("ell must be non-negative")
+    if max_len < 0:
+        raise ValueError("max_len must be non-negative")
     advisories = _stationary_cycles(machine)
     for word in all_words(machine.alphabet, max_len):
         outcome = run(machine, word, fuel, trace=True)

@@ -101,6 +101,12 @@ def test_cli_check_roundtrip(capsys):
     assert "roundtrip OK" in capsys.readouterr().out
 
 
+def test_cli_check_negative_max_len_exit_2(capsys):
+    rc = main(["check", str(MACHINES / "eq_ab.rca"), "--mode", "roundtrip", "--max-len", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: max_len must be non-negative\n"
+
+
 def test_cli_normalize_and_run(tmp_path, capsys):
     out_path = tmp_path / "norm.rca"
     assert main(["normalize", str(MACHINES / "double_step.rca"), "-o", str(out_path)]) == 0

@@ -1,8 +1,12 @@
+import gc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from revca.cli import main as cli_main
+from revca.constructions import normalize_extended, product_intersection
 from revca.core import (
     Configuration,
     InvalidConfigurationError,
@@ -11,12 +15,17 @@ from revca.core import (
     UnknownTokenError,
     Verdict,
     all_words,
+    collector_paused,
     make_automaton,
+    rename_states,
     run,
     status_of,
     step,
     validate,
 )
+from revca.formats import FormatError, parse_automaton, parse_mcm, serialize_automaton
+from revca.reversibility import derive_reverse
+from revca.valc import build_valc
 from revca.witnesses import build_eq_ab
 
 
@@ -347,3 +356,56 @@ def malformed_machines(draw):
 @given(malformed_machines())
 def test_validate_matches_per_transition_reference(machine):
     assert validate(machine) == _validate_reference(machine)
+
+
+MACHINES = Path(__file__).resolve().parent.parent / "machines"
+
+
+@pytest.fixture
+def collector_restored():
+    """Leave the cyclic collector enabled whatever the test did to it."""
+    yield
+    gc.enable()
+
+
+def test_constructions_leave_the_collector_enabled(tmp_path, capsys, collector_restored):
+    assert collector_paused(gc.isenabled)() is False
+    assert gc.isenabled()
+    out = tmp_path / "double.rca"
+    assert cli_main(["valc", "build", str(MACHINES / "double.mcm"), "-o", str(out)]) == 0
+    assert gc.isenabled()
+    assert cli_main(["check", str(out)]) == 0
+    assert gc.isenabled()
+    capsys.readouterr()
+    with pytest.raises(FormatError):
+        parse_automaton("revca-format 1\ncounters x\n")
+    assert gc.isenabled()
+
+
+def test_constructions_keep_a_caller_paused_collector(collector_restored):
+    gc.disable()
+    eq_ab = build_eq_ab()
+    norm = normalize_extended(eq_ab)
+    assert not gc.isenabled()
+    prod = product_intersection(eq_ab, eq_ab)
+    assert not gc.isenabled()
+    renamed = rename_states(prod)
+    assert not gc.isenabled()
+    text = serialize_automaton(renamed)
+    assert not gc.isenabled()
+    parse_automaton(text)
+    assert not gc.isenabled()
+    derive_reverse(norm)
+    assert not gc.isenabled()
+
+
+def test_constructions_make_no_reference_cycles(collector_restored):
+    # The pause is memory-safe only because reference counting alone frees
+    # everything the constructions drop: nothing is left for the collector.
+    gc.collect()
+    gc.disable()
+    acceptor = build_valc(parse_mcm((MACHINES / "double.mcm").read_text()))
+    parsed = parse_automaton(serialize_automaton(rename_states(acceptor)))
+    assert derive_reverse(parsed).reversible
+    del acceptor, parsed
+    assert gc.collect() == 0

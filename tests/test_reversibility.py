@@ -183,3 +183,12 @@ def test_step_back_rejects_bad_configurations():
     ):
         with pytest.raises(InvalidConfigurationError):
             step_back(m, table, cfg)
+
+
+def test_negative_max_len_is_rejected():
+    m = build_eq_ab()
+    table = derive_reverse(m).table
+    with pytest.raises(ValueError, match="max_len"):
+        verify_roundtrip(m, table, -1)
+    with pytest.raises(ValueError, match="max_len"):
+        check_quasi_realtime(m, 1, -1)
