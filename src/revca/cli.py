@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import constructions, formats, mcm, reversibility, valc, witnesses
-from .core import CounterAutomaton, MachineError, rename_states, run
+from .core import CounterAutomaton, MachineError, collector_paused, rename_states, run
 
 
 def _load_automaton(path: str) -> CounterAutomaton:
@@ -283,7 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@collector_paused
 def main(argv=None) -> int:
+    """Run one command with the cyclic collector paused, so that what the
+    command allocated is freed by reference counting before the collector
+    is back on, rather than walked by its next young-generation pass."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

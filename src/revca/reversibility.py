@@ -177,14 +177,15 @@ def step_back(
     no entry for it.
     """
     word, head, counters = cfg.word, cfg.head, cfg.counters
-    if len(counters) != machine.k or not 0 <= head <= len(word) + 1 or min(counters, default=0) < 0:
+    right = len(word) + 1
+    if len(counters) != machine.k or not 0 <= head <= right or min(counters, default=0) < 0:
         check_configuration(machine, cfg)
     statuses = tuple([POSITIVE if c else ZERO for c in counters])
     move = table.move_for(cfg.state, statuses)
     out = None
-    if move is not None and head + move >= 0:
+    if move is not None and 0 <= head + move <= right:
         head += move
-        token = LEFT_END if head == 0 else RIGHT_END if head == len(word) + 1 else word[head - 1]
+        token = LEFT_END if head == 0 else RIGHT_END if head == right else word[head - 1]
         out = table.entries.get((cfg.state, token, statuses))
     if out is None:
         check_configuration(machine, cfg)
@@ -211,17 +212,71 @@ def verify_roundtrip(
 ) -> Optional[RoundtripCounterexample]:
     """Exhaustively check that every forward step inverts to its predecessor.
 
-    Simulates every word up to max_len (shortest first, lexicographic) and
-    steps each run's configurations back through the table; returns the first
-    violation, or None when everything round-trips.
+    Covers every word up to max_len and returns the violation on the first
+    word (shortest first, lexicographic) whose run has a step that the table
+    does not invert, replayed by ``roundtrip_word``; None when everything
+    round-trips.
+
+    The words are not run one by one.  Heads move 0 or +1, so a run's future
+    depends only on its frontier key (state, counters, steps) when the head
+    first reaches a new cell: ``steps`` is there for the fuel.  Level n maps
+    each key reached after n letters to the first word that reaches it;
+    expanding the keys in order, letters sorted, visits the words in the
+    order above, and a repeated key skips its subtree.  Checking each
+    distinct step once is enough: under the backward move that negates the
+    forward one, ``step_back`` reads only the token the step consumed, and
+    any other move cannot give the step's predecessor back, so the first
+    step that fails here is the first that fails in the word's own run, and
+    an error that ``step_back`` raises here is the one the replay raises.
+    The cost is per distinct key per length, not per word.
+
+    A machine with ``_risky`` transitions can move left or leave the model,
+    so its words are still run one at a time; no validated machine has one.
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    for word in all_words(machine.alphabet, max_len):
-        bad = roundtrip_word(machine, table, word, fuel)
-        if bad is not None:
-            return bad
+    if machine._risky:
+        words = all_words(machine.alphabet, max_len)
+        return next(filter(None, (roundtrip_word(machine, table, w, fuel) for w in words)), None)
+    run(machine, (), min(fuel, 0))  # raises as the first word's run does on a bad fuel or start
+    letters = sorted(machine.alphabet)
+    pending = [((), (machine.initial, (0,) * machine.k, 0))]
+    for _ in range(max_len + 1):
+        level: dict[tuple, tuple[str, ...]] = {}
+        for word, key in pending:
+            bad, child = _read_cell(machine, table, word, len(word), key, fuel)
+            if child is not None and child not in level:
+                level[child] = word
+                bad = _read_cell(machine, table, word, len(word) + 1, child, fuel)[0]
+            if bad:
+                return roundtrip_word(machine, table, word, fuel)
+        pending = ((word + (letter,), key) for key, word in level.items() for letter in letters)
     return None
+
+
+def _read_cell(machine, table, word, head, key, fuel) -> tuple[bool, Optional[tuple]]:
+    """Run ``word`` from ``key`` = (state, counters, steps) with the head on
+    cell ``head`` until it moves on, stepping each step back through ``table``.
+
+    Returns (True, None) at the first step that does not invert; otherwise
+    False and the key at which the head reaches the next cell, or None when
+    the run halts or runs out of fuel first.
+    """
+    state, counters, steps = key
+    token = LEFT_END if head == 0 else RIGHT_END if head > len(word) else word[head - 1]
+    before = Configuration(state, word, head, counters)
+    while steps < fuel:
+        t = machine.table.get((state, token, tuple([POSITIVE if c else ZERO for c in counters])))
+        if t is None:
+            break
+        state, counters, steps = t.target, tuple(map(add, counters, t.deltas)), steps + 1
+        after = Configuration(state, word, head + t.move, counters)
+        if step_back(machine, table, after) != before:
+            return True, None
+        if t.move:
+            return False, (state, counters, steps)
+        before = after
+    return False, None
 
 
 def roundtrip_word(machine, table, word, fuel=10_000) -> Optional[RoundtripCounterexample]:

@@ -382,6 +382,26 @@ def test_constructions_leave_the_collector_enabled(tmp_path, capsys, collector_r
     assert gc.isenabled()
 
 
+def test_cli_check_runs_no_collection(tmp_path, capsys, collector_restored):
+    out = tmp_path / "double.rca"
+    assert cli_main(["valc", "build", str(MACHINES / "double.mcm"), "-o", str(out)]) == 0
+    passes = []
+
+    def record(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.collect()
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        assert cli_main(["check", str(out)]) == 0
+    finally:
+        gc.callbacks.remove(record)
+    capsys.readouterr()
+    assert passes == []
+
+
 def test_constructions_keep_a_caller_paused_collector(collector_restored):
     gc.disable()
     eq_ab = build_eq_ab()

@@ -1,16 +1,21 @@
-import pytest
+from itertools import product
 
-from revca.core import Configuration, make_automaton, run
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from revca.core import Configuration, all_words, make_automaton, run, validate
 from revca.reversibility import (
     ExtendedDeltaError,
     ReverseStep,
     ReverseTable,
     check_quasi_realtime,
     derive_reverse,
+    feasible_post_statuses,
+    roundtrip_word,
     step_back,
     verify_roundtrip,
 )
-from revca.witnesses import build_eq_ab, build_regular_witness
+from revca.witnesses import build_balanced, build_eq_ab, build_regular_witness
 
 from conftest import toy_stationary_counter
 
@@ -192,3 +197,129 @@ def test_negative_max_len_is_rejected():
         verify_roundtrip(m, table, -1)
     with pytest.raises(ValueError, match="max_len"):
         check_quasi_realtime(m, 1, -1)
+
+
+def test_step_back_ignores_a_move_past_the_right_endmarker():
+    m = make_automaton([("q", "a", "Z", "q", 1, (0,))], initial="q", accepting=[], k=1)
+    forged = ReverseTable({("q", "a", ("Z",)): ReverseStep("q", 2, (0,))})
+    assert step_back(m, forged, Configuration("q", ("a",), 1, (0,))) is None
+
+
+def _verify_roundtrip_reference(machine, table, max_len, fuel=10_000):
+    """One run per word, shortest first, lexicographic within a length."""
+    if max_len < 0:
+        raise ValueError("max_len must be non-negative")
+    for word in all_words(machine.alphabet, max_len):
+        bad = roundtrip_word(machine, table, word, fuel)
+        if bad is not None:
+            return bad
+    return None
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the search must raise what the reference raises
+        return type(exc), str(exc)
+
+
+def _roundtrip_case(rng):
+    """A small machine, a derived or forged reverse table, a length and a fuel.
+
+    Valid machines have moves in {0, 1} and no decrement on zero; a risky
+    (unvalidated) one may also move left or past the right endmarker, leave
+    its states, or decrement a zero counter.  Forged tables drop and add
+    entries, with moves in {-1, 0, 1, 2} and deltas that can underflow."""
+    k = rng.choice([0, 1, 2])
+    states = [f"q{i}" for i in range(rng.randint(1, 4))]
+    tokens = ["<", ">"] + rng.choice([["a"], ["a", "b"], ["a", "b", "c"]])
+    risky = rng.random() < 0.2
+    # half of the machines move on every letter, to a permutation of the
+    # states per letter, and halt on the right endmarker in a state of their
+    # own: runs get long, and forged entries fail deep in the search
+    density, permuted = rng.random(), rng.random() < 0.5
+    perms = {token: dict(zip(states, rng.sample(states, len(states)))) for token in tokens}
+    rows = {}
+    for state, token, statuses in product(states, tokens, product("ZP", repeat=k)):
+        if rng.random() > density:
+            continue
+        if not permuted:
+            target, move = rng.choice(states), 0 if token == ">" else rng.choice([0, 1, 1])
+        elif token == ">":
+            target, move = "h" + state, 0
+        else:
+            target, move = perms[token][state], 1
+        deltas = tuple(rng.choice([-1, 0, 1] if s == "P" else [0, 1]) for s in statuses)
+        if risky and rng.random() < 0.3:
+            target, move, deltas = rng.choice([
+                ("out", move, deltas), (target, rng.choice([-1, 2]), deltas),
+                (target, 1 if token == ">" else -1, deltas), (target, move, (-1,) * k),
+            ])
+        rows[state, token, statuses] = (state, token, statuses, target, move, deltas)
+    states += ["h" + state for state in states] * permuted + ["out"] * risky
+    machine = make_automaton(rows.values(), "q0", states[-1:], k, tokens[2:], states)
+    assert risky or validate(machine) == []
+    # mirror every transition: derive_reverse's own table when that succeeds
+    entries = {}
+    for t in machine.transitions:
+        back = ReverseStep(t.state, -t.move, tuple(-d for d in t.deltas))
+        for post in product(*(feasible_post_statuses(s, d) for s, d in zip(t.statuses, t.deltas))):
+            entries.setdefault((t.target, t.token, post), back)
+    if rng.random() < 0.5:
+        for key in list(entries):
+            if rng.random() < 0.15:
+                del entries[key]
+        for _ in range(rng.randint(0, 4)):
+            key = (rng.choice(states), rng.choice(tokens), tuple(rng.choice("ZP") for _ in range(k)))
+            deltas = tuple(rng.randint(-2, 1) for _ in range(k))
+            entries[key] = ReverseStep(rng.choice(states), rng.randint(-1, 2), deltas)
+    fuel = rng.choice([-1, 0, 1, 3, 7, 10_000] if rng.random() < 0.05 else [0, 1, 3, 7, 10_000])
+    return machine, ReverseTable(entries), rng.randint(0, 4 if fuel == 10_000 else 5), fuel
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=True))
+def test_verify_roundtrip_matches_per_word_reference(rng):
+    case = _roundtrip_case(rng)
+    assert _outcome(verify_roundtrip, *case) == _outcome(_verify_roundtrip_reference, *case)
+
+
+def test_verify_roundtrip_reports_the_first_word_in_order():
+    # the forged entry breaks exactly two words of length 3, b c c and c b c,
+    # and none shorter: the first of them in lexicographic order is reported
+    m = build_balanced(3)
+    entries = dict(derive_reverse(m).table.entries)
+    entries[("qb", "qb"), "c", ("Z", "P")] = ReverseStep(("qb", "qb"), -1, (0, 0))
+    forged = ReverseTable(entries)
+    bad = verify_roundtrip(m, forged, 3)
+    assert bad.word == ("b", "c", "c")
+    assert bad == _verify_roundtrip_reference(m, forged, 3)
+
+
+def test_verify_roundtrip_keeps_the_step_count_in_the_key():
+    # a and b both lead to q3, a in one more step; with a fuel of 3 only b c
+    # gets as far as the c step, whose backward entry is forged
+    m = make_automaton(
+        [
+            ("q0", "<", "", "q1", 1, ""),
+            ("q1", "a", "", "q2", 0, ""),
+            ("q2", "a", "", "q3", 1, ""),
+            ("q1", "b", "", "q3", 1, ""),
+            ("q3", "c", "", "q3", 1, ""),
+        ],
+        initial="q0",
+        accepting=["q3"],
+        k=0,
+    )
+    entries = dict(derive_reverse(m).table.entries)
+    entries["q3", "c", ()] = ReverseStep("q1", -1, ())
+    forged = ReverseTable(entries)
+    bad = verify_roundtrip(m, forged, 2, fuel=3)
+    assert bad.word == ("b", "c")
+    assert bad == _verify_roundtrip_reference(m, forged, 2, fuel=3)
+
+
+def test_verify_roundtrip_reaches_lengths_no_word_loop_can():
+    # 2**41 - 1 words; the search visits a few hundred configurations per length
+    m = build_eq_ab()
+    assert verify_roundtrip(m, derive_reverse(m).table, 40) is None
