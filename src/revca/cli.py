@@ -55,7 +55,7 @@ def _fmt_config(cfg) -> str:
 def cmd_run(args) -> int:
     machine = _load_automaton(args.file)
     word = _split_word(machine, args.input)
-    outcome = run(machine, word, args.fuel, trace=args.trace or args.backward)
+    outcome = run(machine, word, args.fuel, trace=args.trace)
     if args.trace:
         for cfg in outcome.trace:
             print(_fmt_config(cfg))

@@ -8,7 +8,9 @@ Three transformations live here:
   building only the (state, residues) pairs reachable from the initial one.
 * ``speedup`` removes stationary moves from a quasi-real-time machine by
   collapsing each maximal run of stationary steps plus the following moving
-  step into a single macro-step, then normalizing the oversized deltas away.
+  step into a single macro-step.  Over residues mod c = ell + 1 a macro-step
+  of at most c unit steps changes a stored value by floor((r + S) / c) for a
+  residue r in [0, c) and a source change S in [-c, c], so by at most one.
 * ``product_intersection`` runs two machines in lockstep on a shared state
   pair and concatenated counters, accepting exactly the intersection.
 """
@@ -172,8 +174,15 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
     below c; stage two replays, from every key of the normalized table, the
     maximal stationary run plus one moving step and emits it as a single
     extended transition (a halting run stays stationary and is emitted with
-    the deltas gathered so far).  Normalizing the macro machine again yields
-    the ordinary result.
+    the deltas gathered so far).
+
+    A macro-step spans at most c unit steps, so it changes a source counter
+    by some S in [-c * D, c * D] for the input's ``max_delta`` D, and its
+    stored value by floor((r + S) / c) in [-D, D], where r in [0, c) is the
+    residue at the seed.  The macro machine therefore keeps the input's
+    ``max_delta``: for an ordinary input the closing normalization runs at
+    c = 1 and only drops what is unreachable, and its ``validate`` raises if
+    a macro-step ever broke the bound.
 
     Seeds use counter stand-ins (1 for a positive status): within ell + 1
     steps a stored value can only reach zero if it started at exactly one, and
@@ -188,7 +197,7 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
     if ell == 0:
         return machine
     c = ell + 1
-    # deltas stay within 1; max_delta c leaves room for the macro-step deltas
+    # normalize_extended takes its residue modulus c from max_delta
     norm = normalize_extended(replace(machine, max_delta=c))
     norm = remove_initial_left_loops(norm)
 
@@ -199,7 +208,7 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
     macro_machine = replace(
         norm,
         transitions=tuple(macro_transitions),
-        max_delta=c,
+        max_delta=machine.max_delta,
         name=f"macro({machine.name})" if machine.name else "",
     )
     out = normalize_extended(macro_machine)
@@ -235,23 +244,6 @@ def _macro_step(norm, state, token, statuses, ell):
             )
 
 
-def _numbered(machine: CounterAutomaton):
-    """Dense ids for a product factor's states, the initial state first, and
-    for its distinct (statuses, deltas) effects: the states by id, each
-    state id's outgoing (token, target id, effect id, transition) rows in
-    declaration order, and the number of effects."""
-    ids = {machine.initial: 0}
-    effects: dict[tuple, int] = {}
-    for t in machine.transitions:
-        ids.setdefault(t.state, len(ids))
-        ids.setdefault(t.target, len(ids))
-        effects.setdefault((t.statuses, t.deltas), len(effects))
-    rows: list[list] = [[] for _ in ids]
-    for t in machine.transitions:
-        rows[ids[t.state]].append((t.token, ids[t.target], effects[t.statuses, t.deltas], t))
-    return list(ids), rows, len(effects)
-
-
 @collector_paused
 def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterAutomaton:
     """Cartesian-product machine accepting L(m1) ∩ L(m2).
@@ -261,59 +253,38 @@ def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterA
     simply halt the product.  Only state pairs reachable from the initial pair
     are materialized.  Meaningful when accepting runs of both factors read
     their whole input, which holds for every machine built by this package.
-
-    The search runs over pairs of dense factor-state ids, joining each pair's
-    outgoing rows on token, so every product state is hashed and built once;
-    each pair of factor effects is concatenated once, and the transitions
-    with that pair share its statuses and deltas tuples.
     """
     if m1.alphabet != m2.alphabet:
         raise AlphabetMismatchError(
             f"alphabets differ: {sorted(m1.alphabet)} vs {sorted(m2.alphabet)}"
         )
-    states1, rows1, _ = _numbered(m1)
-    states2, rows2, n_effects2 = _numbered(m2)
-    joins2 = []
-    for row in rows2:
-        by_token: dict[str, list] = {}
-        for token, target, effect, t2 in row:
-            by_token.setdefault(token, []).append((target, effect, t2))
-        joins2.append(by_token)
-    n2 = len(states2)
+    by_token2: dict[tuple, list[Transition]] = {}
+    for t in m2.transitions:
+        by_token2.setdefault((t.state, t.token), []).append(t)
     initial = (m1.initial, m2.initial)
-    pairs = {0: initial}  # id1 * n2 + id2 -> the pair state
-    joint: dict[int, tuple] = {}  # effect1 * n_effects2 + effect2 -> (statuses, deltas)
-    frontier = [(0, 0, initial)]
+    seen, frontier = {initial}, [initial]
     transitions = []
     while frontier:
-        i, j, pair = frontier.pop()
-        join = joins2[j]
-        for token, target1, effect1, t1 in rows1[i]:
-            for target2, effect2, t2 in join.get(token, ()):
+        pair = frontier.pop()
+        state1, state2 = pair
+        for t1 in m1.outgoing.get(state1, ()):
+            for t2 in by_token2.get((state2, t1.token), ()):
                 if t1.move != t2.move:
                     raise MoveDisagreementError(t1, t2)
-                key = target1 * n2 + target2
-                target = pairs.get(key)
-                if target is None:
-                    target = pairs[key] = (states1[target1], states2[target2])
-                    frontier.append((target1, target2, target))
-                joint_id = effect1 * n_effects2 + effect2
-                effect = joint.get(joint_id)
-                if effect is None:
-                    effect = joint[joint_id] = (t1.statuses + t2.statuses, t1.deltas + t2.deltas)
-                transitions.append(Transition(pair, token, effect[0], target, t1.move, effect[1]))
-    accepting1 = {i for i, st in enumerate(states1) if st in m1.accepting}
-    accepting2 = {j for j, st in enumerate(states2) if st in m2.accepting}
-    accepting = frozenset(
-        pair for key, pair in pairs.items() if key // n2 in accepting1 and key % n2 in accepting2
-    )
+                target = (t1.target, t2.target)
+                if target not in seen:
+                    seen.add(target)
+                    frontier.append(target)
+                transitions.append(
+                    Transition(pair, t1.token, t1.statuses + t2.statuses, target, t1.move, t1.deltas + t2.deltas)
+                )
     return CounterAutomaton(
-        states=frozenset(pairs.values()),
+        states=frozenset(seen),
         alphabet=m1.alphabet,
         k=m1.k + m2.k,
         transitions=tuple(transitions),
         initial=initial,
-        accepting=accepting,
+        accepting=frozenset(p for p in seen if p[0] in m1.accepting and p[1] in m2.accepting),
         max_delta=max(m1.max_delta, m2.max_delta),
         name=f"({m1.name}&{m2.name})" if m1.name or m2.name else "",
     )

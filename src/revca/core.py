@@ -55,7 +55,7 @@ class NegativeCounterError(MachineError):
 def collector_paused(fn):
     """Run ``fn`` with CPython's cyclic garbage collector paused.
 
-    The bulk constructions allocate hundreds of thousands of tracked tuples
+    The bulk constructions allocate a tracked tuple per transition or entry
     (``Transition`` and ``ReverseStep`` are named tuples, which CPython never
     untracks) and build no reference cycles, so the collector's passes over
     them free nothing; reference counting still frees whatever they drop.

@@ -58,12 +58,9 @@ class MultCounterMachine:
     def rule_map(self) -> dict[str, McmRule]:
         return {r.state: r for r in self.rules}
 
-    def validate(self) -> list[str]:
-        return [message for _, message in self.defects_by_rule()]
-
     def defects_by_rule(self):
-        """``validate``'s messages, in order, each with the rule it belongs
-        to, or None for a defect of the machine as a whole."""
+        """The machine's defects, in order, each with the rule it belongs to,
+        or None for a defect of the machine as a whole."""
         seen = set()
         for r in self.rules:
             if r.state in seen:

@@ -89,10 +89,13 @@ def parse_token(text: str) -> ValcToken:
     if not (text.startswith("[") and text.endswith("]")):
         raise MachineError(f"bad history token {text!r}")
     parts = text[1:-1].split("|")
-    if len(parts) == 2 and parts[1].startswith("l="):
-        return ValcToken("lead", parts[0], Fraction(parts[1][2:]))
-    if len(parts) == 3 and parts[1].startswith("l=") and parts[2].startswith("p="):
-        return ValcToken("trail", parts[0], Fraction(parts[1][2:]), int(parts[2][2:]))
+    try:
+        if len(parts) == 2 and parts[1].startswith("l="):
+            return ValcToken("lead", parts[0], Fraction(parts[1][2:]))
+        if len(parts) == 3 and parts[1].startswith("l=") and parts[2].startswith("p="):
+            return ValcToken("trail", parts[0], Fraction(parts[1][2:]), int(parts[2][2:]))
+    except (ValueError, ZeroDivisionError):
+        pass  # a malformed l= or p= number
     raise MachineError(f"bad history token {text!r}")
 
 

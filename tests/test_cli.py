@@ -75,6 +75,14 @@ def test_cli_run_trace_and_backward(capsys):
     assert out.count("(q0 head=0") == 2  # forward trace start and replay end
 
 
+def test_cli_run_backward_without_trace(capsys):
+    rc = main(["run", str(MACHINES / "eq_ab.rca"), "abba", "--backward"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.startswith("backward replay:\n")
+    assert out.count("(q0 head=0") == 1  # the replay's end, no forward trace
+
+
 def test_cli_run_empty_word(capsys):
     for word in ("", " "):
         rc = main(["run", str(MACHINES / "eq_ab.rca"), word])
@@ -252,7 +260,7 @@ def test_cli_malformed_header_exit_2(tmp_path, capsys, suffix, original, old, ne
 # acceptor that `revca valc build machines/hartmanis.mcm` writes.
 CHECK_SHA256 = {
     "eq_ab": "631485a6364c3bf0374acb04a84470f56b35d596c8d74c0945424fc7d68ff1ce",
-    "hartmanis": "0a8d9412d02164d5b11c7abd4f0cc2c0575a32a4ec24d4b2788a99fbea156edc",
+    "hartmanis": "5235754d7e9a79bc0fb48fb882eef4cc4f9dc86865c2bd6703501346f97ea6fb",
 }
 
 

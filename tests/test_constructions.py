@@ -289,6 +289,41 @@ def test_speedup_already_real_time_machine():
     assert derive_reverse(fast).reversible
 
 
+def test_speedup_random_ordinary_machines():
+    """Over ordinary sources the result is ordinary, accepts what the
+    source accepts, and has the runs and the reversibility verdict of its
+    re-split at c = ell + 1."""
+    from dataclasses import replace
+
+    from revca.constructions import NotQuasiRealtimeError
+
+    rng = random.Random(90210)
+    sped_up = reversible_sources = 0
+    while sped_up < 300:
+        m = random_extended_machine(rng)
+        if m.max_delta != 1 or validate(m):
+            continue
+        ell = rng.randint(1, 3)
+        try:
+            fast = speedup(m, ell)
+        except NotQuasiRealtimeError:
+            continue
+        sped_up += 1
+        assert fast.max_delta == 1 and validate(fast) == []
+        resplit = normalize_extended(replace(fast, max_delta=ell + 1))
+        for word in all_words({"a", "b"}, 6):
+            quick = run(fast, word, len(word) + 2)
+            assert quick.steps <= len(word) + 2
+            # a dropped initial left loop turns fuel exhaustion into a reject
+            assert quick.accepted == run(m, word, (len(word) + 2) * (ell + 1)).accepted, (m, word)
+            again = run(resplit, word, len(word) + 2)
+            assert (quick.verdict, quick.steps) == (again.verdict, again.steps), (m, word)
+        if derive_reverse(m).reversible:
+            reversible_sources += 1
+            assert derive_reverse(fast).reversible == derive_reverse(resplit).reversible, m
+    assert reversible_sources >= 10
+
+
 def test_product_membership_law():
     eq = build_eq_ab()
     # ends-with-a machine over the same alphabet, lockstep moves

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from revca.core import run, validate
+from revca.core import MachineError, run, validate
 from revca.reversibility import derive_reverse, roundtrip_word
 from revca.mcm import doubling_example, hartmanis_example
 from revca.valc import (
@@ -103,6 +103,16 @@ def test_reference_decider_rejects_shape_breaks():
     shrunk = list(GOLDEN)
     del shrunk[GOLDEN.index("[q1|l=2]") + 1]  # one letter out of the 32-run
     assert not valc_decide(m, shrunk)
+
+
+@pytest.mark.parametrize("pos", [0, 9, 11])
+@pytest.mark.parametrize("bad", ["[q0|l=1/0]", "[q0|l=x]", "[q0|l=2|p=x]", "[q0|l=2|p=]"])
+def test_reference_decider_rejects_bad_numbers(bad, pos):
+    with pytest.raises(MachineError):
+        parse_token(bad)
+    word = list(GOLDEN)
+    word[pos] = bad
+    assert not valc_decide(hartmanis_example(), word)
 
 
 def test_part_machines_validate_and_reverse():
@@ -235,8 +245,8 @@ def test_parts_roundtrip_on_golden_prefixes_and_mutants(valc_machines):
 # SHA-256 of the serialized history-acceptor products; any change to the
 # constructions that alters a single byte of the written machines shows here.
 PRODUCT_SHA256 = {
-    "hartmanis": "dfb0d5dbf6b928ac39af47446b4b225338b010f44372bd8b7582a85112d93b63",
-    "double": "93d56a8294420d5e0e4360be731427e23167d7d1fc0831bceabb349908f1726f",
+    "hartmanis": "1cff3e464e7d3eaa6980c6912701849e72d9bf182af13beabb2563704818232c",
+    "double": "7e6840b32170a115ea8562029267b87721ded13f6f6a1d41d45271c1531c2d89",
 }
 
 
@@ -248,6 +258,29 @@ def test_product_serialization_is_pinned(valc_machines):
     for name, (_machine, _v1, _v2, prod) in valc_machines.items():
         digest = hashlib.sha256(_serialize(prod).encode()).hexdigest()
         assert digest == PRODUCT_SHA256[name], name
+
+
+# The products of the sped-up halves re-split at c = STATIONARY_BUDGET + 1:
+# what speedup built while it normalized its macro machine at that c.  The
+# ordinary halves lose nothing if re-encoding them gives these bytes back.
+RESPLIT_PRODUCT_SHA256 = {
+    "hartmanis": "dfb0d5dbf6b928ac39af47446b4b225338b010f44372bd8b7582a85112d93b63",
+    "double": "93d56a8294420d5e0e4360be731427e23167d7d1fc0831bceabb349908f1726f",
+}
+
+
+def test_resplit_parts_give_the_former_product(valc_machines):
+    import hashlib
+    from dataclasses import replace
+
+    from revca.cli import _serialize
+    from revca.constructions import normalize_extended, product_intersection
+    from revca.valc import STATIONARY_BUDGET
+
+    for name, (_machine, v1, v2, _prod) in valc_machines.items():
+        resplit = [normalize_extended(replace(v, max_delta=STATIONARY_BUDGET + 1)) for v in (v1, v2)]
+        digest = hashlib.sha256(_serialize(product_intersection(*resplit)).encode()).hexdigest()
+        assert digest == RESPLIT_PRODUCT_SHA256[name], name
 
 
 SLOW_PART_SHA256 = {
