@@ -8,10 +8,11 @@ stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import constructions, formats, mcm, reversibility, valc, witnesses
-from .core import CounterAutomaton, MachineError, collector_paused, rename_states, run
+from .core import CounterAutomaton, MachineError, rename_states, run
 
 
 def _load_automaton(path: str) -> CounterAutomaton:
@@ -283,18 +284,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@collector_paused
 def main(argv=None) -> int:
-    """Run one command with the cyclic collector paused, so that what the
-    command allocated is freed by reference counting before the collector
-    is back on, rather than walked by its next young-generation pass."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command with CPython's cyclic collector paused.
+
+    The constructions allocate a named tuple per transition or table entry
+    and make no reference cycles, so collector passes over them would free
+    nothing; reference counting frees what a command drops.  The pause
+    starts before the argument parser, whose cycles would otherwise be
+    promoted to older generations, and the collector comes back on only if
+    it was on at entry.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (formats.FormatError, MachineError, mcm.McmError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ Three transformations live here:
   building only the (state, residues) pairs reachable from the initial one.
 * ``speedup`` removes stationary moves from a quasi-real-time machine by
   collapsing each maximal run of stationary steps plus the following moving
-  step into a single macro-step.  Over residues mod c = ell + 1 a macro-step
-  of at most c unit steps changes a stored value by floor((r + S) / c) for a
-  residue r in [0, c) and a source change S in [-c, c], so by at most one.
+  step into a single macro-step.  Over residues mod c = (ell + 1) * D, for
+  the input's ``max_delta`` D, a macro-step of at most ell + 1 unit steps
+  changes a stored value by floor((r + S) / c) for a residue r in [0, c) and
+  a source change S in [-c, c], so by at most one.
 * ``product_intersection`` runs two machines in lockstep on a shared state
   pair and concatenated counters, accepting exactly the intersection.
 """
@@ -27,7 +28,6 @@ from .core import (
     POSITIVE,
     Transition,
     ZERO,
-    collector_paused,
     status_of,
     validate,
 )
@@ -86,7 +86,6 @@ def _carry(residues: tuple[int, ...], statuses: tuple[str, ...], deltas: tuple[i
         yield stored, new_res, carries
 
 
-@collector_paused
 def normalize_extended(
     machine: CounterAutomaton,
     reverse: Optional[ReverseTable] = None,
@@ -169,25 +168,25 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
     """Build an equivalent machine whose accepted runs take at most |w| + 2 steps.
 
     The input must never do more than ``ell`` consecutive stationary moves in
-    an accepting computation.  Stage one normalizes with c = ell + 1, whose
-    residue components give every state exact knowledge of counter values
-    below c; stage two replays, from every key of the normalized table, the
-    maximal stationary run plus one moving step and emits it as a single
-    extended transition (a halting run stays stationary and is emitted with
-    the deltas gathered so far).
+    an accepting computation.  Stage one normalizes with c = (ell + 1) * D,
+    for the input's ``max_delta`` D, whose residue components give every
+    state exact knowledge of counter values below c; stage two replays, from
+    every key of the normalized table, the maximal stationary run plus one
+    moving step and emits it as a single transition (a halting run stays
+    stationary and is emitted with the deltas gathered so far).
 
-    A macro-step spans at most c unit steps, so it changes a source counter
-    by some S in [-c * D, c * D] for the input's ``max_delta`` D, and its
-    stored value by floor((r + S) / c) in [-D, D], where r in [0, c) is the
-    residue at the seed.  The macro machine therefore keeps the input's
-    ``max_delta``: for an ordinary input the closing normalization runs at
-    c = 1 and only drops what is unreachable, and its ``validate`` raises if
-    a macro-step ever broke the bound.
+    A macro-step spans at most ell + 1 unit steps, so it changes a source
+    counter by some S in [-c, c], and its stored value by floor((r + S) / c)
+    in [-1, 1], where r in [0, c) is the residue at the seed.  The macro
+    machine is therefore ordinary: the closing normalization runs at c = 1
+    and only drops what is unreachable, and its ``validate`` raises if a
+    macro-step ever broke the bound.
 
-    Seeds use counter stand-ins (1 for a positive status): within ell + 1
-    steps a stored value can only reach zero if it started at exactly one, and
-    the residue tracking makes the replayed path identical for every counter
-    vector matching the seed statuses.
+    Seeds use counter stand-ins (1 for a positive status): every prefix of a
+    macro-step changes the source value by at most c, so a stored value
+    stays within one of where it started, can only reach zero if it started
+    at exactly one, and the residue tracking makes the replayed path
+    identical for every counter vector matching the seed statuses.
     """
     if ell < 0:
         raise ValueError("ell must be non-negative")
@@ -196,7 +195,7 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
         raise MachineError("speedup needs a clean machine: " + "; ".join(defects))
     if ell == 0:
         return machine
-    c = ell + 1
+    c = (ell + 1) * machine.max_delta
     # normalize_extended takes its residue modulus c from max_delta
     norm = normalize_extended(replace(machine, max_delta=c))
     norm = remove_initial_left_loops(norm)
@@ -208,7 +207,7 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
     macro_machine = replace(
         norm,
         transitions=tuple(macro_transitions),
-        max_delta=machine.max_delta,
+        max_delta=1,
         name=f"macro({machine.name})" if machine.name else "",
     )
     out = normalize_extended(macro_machine)
@@ -244,7 +243,6 @@ def _macro_step(norm, state, token, statuses, ell):
             )
 
 
-@collector_paused
 def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterAutomaton:
     """Cartesian-product machine accepting L(m1) ∩ L(m2).
 

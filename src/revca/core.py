@@ -11,9 +11,8 @@ transition) in an accepting state.
 from __future__ import annotations
 
 import enum
-import gc
 from dataclasses import dataclass, replace
-from functools import cached_property, wraps
+from functools import cached_property
 from itertools import product
 from operator import add, itemgetter
 from typing import Any, Iterable, NamedTuple, Optional
@@ -50,31 +49,6 @@ class InvalidTransitionEffectError(MachineError):
 
 class NegativeCounterError(MachineError):
     pass
-
-
-def collector_paused(fn):
-    """Run ``fn`` with CPython's cyclic garbage collector paused.
-
-    The bulk constructions allocate a tracked tuple per transition or entry
-    (``Transition`` and ``ReverseStep`` are named tuples, which CPython never
-    untracks) and build no reference cycles, so the collector's passes over
-    them free nothing; reference counting still frees whatever they drop.
-    The collector is re-enabled on exit only if it was enabled on entry, so
-    nested calls, and callers that paused it themselves, keep their setting.
-    The switch is process-wide: other threads run paused meanwhile too.
-    """
-
-    @wraps(fn)
-    def paused(*args, **kwargs):
-        if not gc.isenabled():
-            return fn(*args, **kwargs)
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            gc.enable()
-
-    return paused
 
 
 class Transition(NamedTuple):
@@ -158,26 +132,10 @@ class CounterAutomaton:
         return index
 
     @cached_property
-    def _risky(self) -> frozenset[Transition]:
-        """Transitions that can take a valid configuration to an invalid one:
-        the target lies outside ``states``, the head leaves the tape, the
-        delta vector is not k long, or a decrement can go below zero.  Empty
-        for every ordinary machine that passes ``validate``; ``run`` checks
-        the configuration again only after one of these."""
-        unsafe_effects = {
-            (statuses, deltas)
-            for statuses, deltas in {(t.statuses, t.deltas) for t in self.transitions}
-            if len(deltas) != self.k
-            or any(d < -1 or (d < 0 and s == ZERO) for s, d in zip(statuses, deltas))
-        }
-        return frozenset(
-            t
-            for t in self.transitions
-            if t.target not in self.states
-            or t.move not in (0, 1)
-            or (t.move == 1 and t.token == RIGHT_END)
-            or (unsafe_effects and (t.statuses, t.deltas) in unsafe_effects)
-        )
+    def _clean(self) -> bool:
+        """An ordinary machine that passes ``validate``: no step from a valid
+        configuration can leave the model, so ``run`` checks only the start."""
+        return self.max_delta == 1 and not validate(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CounterAutomaton):
@@ -380,10 +338,10 @@ def run(
     ``fuel`` steps still gets its accept/reject verdict.  Counters driven
     negative by an oversized delta abort the run as a diagnosed reject.
 
-    The configuration is validated once per run, at the start.  After that
-    only a transition that can break it (``CounterAutomaton._risky``, empty
-    for validated machines) gets its successor checked, so every other step
-    is a single ``table`` probe.
+    The configuration is validated once per run, at the start.  On a machine
+    that passes ``validate`` with ``max_delta`` 1 every step is then a single
+    ``table`` probe, since no step can leave the model; on any other machine
+    every successor is checked.
     """
     word = tuple(word)
     for token in word:
@@ -394,7 +352,7 @@ def run(
     cfg = machine.initial_configuration(word)
     check_configuration(machine, cfg)
     tokens = (LEFT_END, *word, RIGHT_END)
-    table, risky = machine.table, machine._risky
+    table, checked = machine.table, not machine._clean
     state, head, counters = cfg.state, cfg.head, cfg.counters
     history = [cfg] if trace else None
     steps = 0
@@ -404,7 +362,6 @@ def run(
             verdict = Verdict.ACCEPT if state in machine.accepting else Verdict.REJECT_HALT
             return RunOutcome(verdict, steps, Configuration(state, word, head, counters), history)
         nxt = tuple(map(add, counters, t.deltas))
-        checked = risky and t in risky
         if checked and any(c < 0 for c in nxt):
             return RunOutcome(
                 Verdict.REJECT_HALT,
@@ -437,17 +394,16 @@ def all_words(alphabet: Iterable[str], max_len: int):
             yield combo
 
 
-@collector_paused
-def rename_states(machine: CounterAutomaton, prefix: str = "s") -> CounterAutomaton:
-    """Deterministically rename states to short strings (breadth-first from the
-    initial state, leftovers in repr order); used before serialization since
-    constructed machines carry tuple-shaped states.
+def rename_states(machine: CounterAutomaton) -> CounterAutomaton:
+    """Deterministically rename states to ``s0``, ``s1``, ... (breadth-first
+    from the initial state, leftovers in repr order); used before
+    serialization since constructed machines carry tuple-shaped states.
 
     The search names each target as it emits the renamed transition, so every
     transition costs one lookup of its target; the transitions come out in
     that breadth-first order.
     """
-    names = {machine.initial: f"{prefix}0"}
+    names = {machine.initial: "s0"}
     order = [machine.initial]
     transitions = []
     outgoing = machine.outgoing
@@ -458,7 +414,7 @@ def rename_states(machine: CounterAutomaton, prefix: str = "s") -> CounterAutoma
         for t in sorted(outgoing.get(state, ()), key=by_key):
             target = names.get(t.target)
             if target is None:
-                target = names[t.target] = f"{prefix}{len(order)}"
+                target = names[t.target] = f"s{len(order)}"
                 order.append(t.target)
             transitions.append(Transition(source, t.token, t.statuses, target, t.move, t.deltas))
 
@@ -468,7 +424,7 @@ def rename_states(machine: CounterAutomaton, prefix: str = "s") -> CounterAutoma
         i += 1
     leftovers = sorted(machine.states - names.keys(), key=repr)
     for st in leftovers:
-        names[st] = f"{prefix}{len(order)}"
+        names[st] = f"s{len(order)}"
         order.append(st)
     for st in leftovers:
         emit(st)

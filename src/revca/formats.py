@@ -15,7 +15,6 @@ from .core import (
     LEFT_END,
     RIGHT_END,
     Transition,
-    collector_paused,
     defects_by_transition,
 )
 from .mcm import McmError, McmRule, MultCounterMachine, make_mcm
@@ -82,7 +81,6 @@ def _delta_field(no: int, deltas: str, k: int) -> tuple[int, ...]:
     return ds
 
 
-@collector_paused
 def parse_automaton(text: str) -> CounterAutomaton:
     """Parse a ``.rca`` text into a validated machine.
 
@@ -167,7 +165,6 @@ def delta_text(deltas: tuple[int, ...]) -> str:
     return ",".join(str(d) for d in deltas) or "-"
 
 
-@collector_paused
 def serialize_automaton(machine: CounterAutomaton) -> str:
     """Canonical text: states sorted, transitions sorted by key, the left
     endmarker before the alphabet and the right one after it."""

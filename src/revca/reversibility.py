@@ -9,7 +9,6 @@ read, so backward entries are keyed on the token the forward step consumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 from operator import add
 from typing import NamedTuple, Optional
@@ -27,7 +26,6 @@ from .core import (
     ZERO,
     all_words,
     check_configuration,
-    collector_paused,
     run,
 )
 
@@ -96,14 +94,8 @@ def feasible_post_statuses(status: str, delta: int) -> tuple[str, ...]:
 
 def _post_statuses(t: Transition) -> tuple[StatusVector, ...]:
     """Every status vector observable right after ``t`` fires; none at all
-    when ``t`` is statically inapplicable (a decrement on zero).  Transitions
-    with equal statuses and deltas share one tuple of the same vectors."""
-    return _posts(t.statuses, t.deltas)
-
-
-@lru_cache(maxsize=1024)
-def _posts(statuses: StatusVector, deltas: tuple[int, ...]) -> tuple[StatusVector, ...]:
-    return tuple(product(*(feasible_post_statuses(s, d) for s, d in zip(statuses, deltas))))
+    when ``t`` is statically inapplicable (a decrement on zero)."""
+    return tuple(product(*(feasible_post_statuses(s, d) for s, d in zip(t.statuses, t.deltas))))
 
 
 def derive_reverse(machine: CounterAutomaton) -> ReversibilityVerdict:
@@ -121,7 +113,6 @@ def derive_reverse(machine: CounterAutomaton) -> ReversibilityVerdict:
     return derive_reverse_any(machine)
 
 
-@collector_paused
 def derive_reverse_any(machine: CounterAutomaton) -> ReversibilityVerdict:
     """Derivation without the max_delta guard, for internal construction use.
 
@@ -230,12 +221,12 @@ def verify_roundtrip(
     an error that ``step_back`` raises here is the one the replay raises.
     The cost is per distinct key per length, not per word.
 
-    A machine with ``_risky`` transitions can move left or leave the model,
-    so its words are still run one at a time; no validated machine has one.
+    A machine that fails ``validate`` or has a ``max_delta`` above 1 may
+    move left or leave the model, so its words are still run one at a time.
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    if machine._risky:
+    if not machine._clean:
         words = all_words(machine.alphabet, max_len)
         return next(filter(None, (roundtrip_word(machine, table, w, fuel) for w in words)), None)
     run(machine, (), min(fuel, 0))  # raises as the first word's run does on a bad fuel or start

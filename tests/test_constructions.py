@@ -324,6 +324,76 @@ def test_speedup_random_ordinary_machines():
     assert reversible_sources >= 10
 
 
+@pytest.mark.parametrize(
+    "rows, max_delta, ell",
+    [
+        # counts down by 2 twice on the right endmarker: accepts exactly aa
+        (
+            [
+                ("q1", "a", "Z", "q1", 1, (2,)),
+                ("q1", "a", "P", "q1", 1, (2,)),
+                ("q1", ">", "P", "d1", 0, (-2,)),
+                ("d1", ">", "P", "d2", 0, (-2,)),
+                ("d2", ">", "Z", "acc", 0, (0,)),
+                ("d2", ">", "P", "rej", 0, (0,)),
+            ],
+            2,
+            3,
+        ),
+        # a delta larger than ell + 1: accepts a+
+        (
+            [
+                ("q1", "a", "Z", "q1", 1, (5,)),
+                ("q1", "a", "P", "q1", 1, (5,)),
+                ("q1", ">", "P", "acc", 0, (-5,)),
+            ],
+            5,
+            1,
+        ),
+    ],
+)
+def test_speedup_extended_machine(rows, max_delta, ell):
+    from revca.reversibility import check_quasi_realtime
+
+    m = make_automaton(
+        [("q0", "<", "Z", "q1", 1, (0,))] + rows,
+        initial="q0", accepting=["acc"], k=1, alphabet={"a"}, max_delta=max_delta,
+    )
+    assert check_quasi_realtime(m, ell, 8).ok
+    fast = speedup(m, ell)
+    assert fast.max_delta == 1 and validate(fast) == []
+    for word in all_words({"a"}, 8):
+        quick = run(fast, word, len(word) + 2)
+        assert quick.accepted == run(m, word, 100).accepted, word
+
+
+def test_speedup_random_extended_machines():
+    """Over extended sources (max_delta 2 to 4) the result is ordinary and
+    accepts what the source accepts, within |w| + 2 steps."""
+    from revca.constructions import NotQuasiRealtimeError
+
+    rng = random.Random(5)
+    sped_up = 0
+    while sped_up < 400:
+        m = random_extended_machine(rng)
+        if m.max_delta == 1 or validate(m):
+            continue
+        ell = rng.randint(1, 3)
+        try:
+            fast = speedup(m, ell)
+        except NotQuasiRealtimeError:
+            continue
+        sped_up += 1
+        assert fast.max_delta == 1 and validate(fast) == []
+        for word in all_words({"a", "b"}, 5):
+            slow = run(m, word, (len(word) + 2) * (ell + 1))
+            if slow.diagnostic is not None:
+                continue  # the source drove a counter negative: outside the model
+            quick = run(fast, word, len(word) + 2)
+            assert quick.steps <= len(word) + 2
+            assert quick.accepted == slow.accepted, (m, ell, word)
+
+
 def test_product_membership_law():
     eq = build_eq_ab()
     # ends-with-a machine over the same alphabet, lockstep moves

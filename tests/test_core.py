@@ -15,7 +15,6 @@ from revca.core import (
     UnknownTokenError,
     Verdict,
     all_words,
-    collector_paused,
     make_automaton,
     rename_states,
     run,
@@ -369,7 +368,6 @@ def collector_restored():
 
 
 def test_constructions_leave_the_collector_enabled(tmp_path, capsys, collector_restored):
-    assert collector_paused(gc.isenabled)() is False
     assert gc.isenabled()
     out = tmp_path / "double.rca"
     assert cli_main(["valc", "build", str(MACHINES / "double.mcm"), "-o", str(out)]) == 0
@@ -399,6 +397,31 @@ def test_cli_check_runs_no_collection(tmp_path, capsys, collector_restored):
     finally:
         gc.callbacks.remove(record)
     capsys.readouterr()
+    assert passes == []
+
+
+def test_cli_pause_covers_the_argument_parser(capsys, collector_restored):
+    # argparse builds reference cycles; a pause that started after the parser
+    # is built would let collector passes run inside main
+    inside, passes = [False], []
+
+    def record(phase, info):
+        if phase == "start" and inside[0]:
+            passes.append(info["generation"])
+
+    argv, kept, codes = ["check", str(MACHINES / "eq_ab.rca")], [], []
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        for i in range(50):
+            kept.append([[j] for j in range(100 + 7 * i)])  # the caller allocates between calls
+            inside[0] = True
+            codes.append(cli_main(argv))
+            inside[0] = False
+    finally:
+        gc.callbacks.remove(record)
+    capsys.readouterr()
+    assert codes == [0] * 50
     assert passes == []
 
 
