@@ -94,7 +94,9 @@ def normalize_extended(
 
     States become (state, residues); a counter value x of the source is
     represented as stored value x // c with residue x % c in the state.  Only
-    the pairs reachable from (initial, zeros) are built.
+    the pairs reachable from (initial, zeros) are built, each as one tuple
+    object shared by ``states``, ``initial``, ``accepting`` and every
+    transition.
 
     With a reverse table for the source supplied, the mirrored construction is
     applied to it over every residue vector, and (machine, table) is returned;
@@ -105,15 +107,15 @@ def normalize_extended(
         raise MachineError("normalize_extended needs a clean machine: " + "; ".join(defects))
     c, k = machine.max_delta, machine.k
     initial = (machine.initial, (0,) * k)
-    seen, frontier = {initial}, [initial]
+    seen, frontier = {initial: initial}, [initial]
     transitions = []
     while frontier:
         state, residues = source = frontier.pop()
         for t in machine.outgoing.get(state, ()):
             for statuses, new_res, carries in _carry(residues, t.statuses, t.deltas, c):
-                target = (t.target, new_res)
-                if target not in seen:
-                    seen.add(target)
+                pair = (t.target, new_res)
+                target = seen.setdefault(pair, pair)
+                if target is pair:
                     frontier.append(target)
                 transitions.append(Transition(source, t.token, statuses, target, t.move, carries))
     out = CounterAutomaton(
@@ -249,8 +251,10 @@ def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterA
     Both factors must share an alphabet and move their heads identically on
     every jointly defined key; keys where exactly one factor has a transition
     simply halt the product.  Only state pairs reachable from the initial pair
-    are materialized.  Meaningful when accepting runs of both factors read
-    their whole input, which holds for every machine built by this package.
+    are materialized, each as one tuple object shared by ``states``,
+    ``initial``, ``accepting`` and every transition.  Meaningful when
+    accepting runs of both factors read their whole input, which holds for
+    every machine built by this package.
     """
     if m1.alphabet != m2.alphabet:
         raise AlphabetMismatchError(
@@ -260,7 +264,7 @@ def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterA
     for t in m2.transitions:
         by_token2.setdefault((t.state, t.token), []).append(t)
     initial = (m1.initial, m2.initial)
-    seen, frontier = {initial}, [initial]
+    seen, frontier = {initial: initial}, [initial]
     transitions = []
     while frontier:
         pair = frontier.pop()
@@ -269,9 +273,9 @@ def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterA
             for t2 in by_token2.get((state2, t1.token), ()):
                 if t1.move != t2.move:
                     raise MoveDisagreementError(t1, t2)
-                target = (t1.target, t2.target)
-                if target not in seen:
-                    seen.add(target)
+                joint = (t1.target, t2.target)
+                target = seen.setdefault(joint, joint)
+                if target is joint:
                     frontier.append(target)
                 transitions.append(
                     Transition(pair, t1.token, t1.statuses + t2.statuses, target, t1.move, t1.deltas + t2.deltas)

@@ -45,19 +45,26 @@ class ReverseTable:
     """Partial backward table keyed on (state, consumed token, post-step statuses).
 
     The move is operationally uniform per (state, statuses) so a backward
-    machine can move its head before reading.  ``derive_reverse`` hands over
-    the (state, statuses) -> move map it checked that on; any other table
-    builds it from ``entries`` on the first ``move_for``.
+    machine can move its head before reading.  The first backward step or
+    ``move_for`` indexes ``entries`` into rows, (state, statuses) -> [move,
+    {token: step}], where the group's last entry sets the move; ``entries``
+    must not change after that.
     """
 
     entries: dict[tuple, ReverseStep] = field(default_factory=dict)
-    _moves: dict[tuple, int] = field(default_factory=dict, repr=False, compare=False)
+    _rows: dict[tuple, list] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _index(self) -> dict[tuple, list]:
+        if not self._rows:
+            for (state, token, statuses), out in self.entries.items():
+                row = self._rows.setdefault((state, statuses), [out.move, {}])
+                row[0] = out.move
+                row[1][token] = out
+        return self._rows
 
     def move_for(self, state, statuses: StatusVector) -> Optional[int]:
-        if not self._moves and self.entries:
-            for (st, _tok, d), out in self.entries.items():
-                self._moves[(st, d)] = out.move
-        return self._moves.get((state, statuses))
+        row = self._index().get((state, statuses))
+        return None if row is None else row[0]
 
 
 @dataclass
@@ -120,7 +127,9 @@ def derive_reverse_any(machine: CounterAutomaton) -> ReversibilityVerdict:
     (state, post-statuses) group is checked for one backward move right
     there; the forward transitions behind the entries are only looked up
     again to report conflicts.  Each distinct (statuses, deltas) effect is
-    negated and expanded to its post-status vectors once.
+    negated and expanded to its post-status vectors once.  The move map of
+    that check stays here: the returned table indexes its own rows when it
+    first steps back, so a derivation that only reports builds no index.
     """
     entries: dict[tuple, ReverseStep] = {}
     moves: dict[tuple, int] = {}  # one backward move per (state, post-statuses)
@@ -143,7 +152,7 @@ def derive_reverse_any(machine: CounterAutomaton) -> ReversibilityVerdict:
             elif first != reverse:
                 preimage_clashes.append((key, t))
     if not (preimage_clashes or move_clashes):
-        return ReversibilityVerdict(ReverseTable(entries, _moves=moves))
+        return ReversibilityVerdict(ReverseTable(entries))
     origin: dict[tuple, Transition] = {}
     for t in machine.transitions:
         for post in _post_statuses(t):
@@ -158,33 +167,38 @@ def derive_reverse_any(machine: CounterAutomaton) -> ReversibilityVerdict:
     return ReversibilityVerdict(None, conflicts)
 
 
+_NEGATIVE = object()  # the status of a negative counter in a row probe; no row holds it
+
+
 def step_back(
     machine: CounterAutomaton, table: ReverseTable, cfg: Configuration
 ) -> Optional[Configuration]:
     """One backward step via the reverse table; None when no entry applies.
 
-    The head position and the counters are checked on every call; whether
-    ``cfg.state`` belongs to the machine is only tested when the table has
-    no entry for it.
+    One probe of the table's rows on (state, statuses) gives the move and the
+    entries to read after it.  A negative counter has a status that no row
+    holds, so it misses; a hit checks the number of counters and the head.
+    A miss, or a hit that fails those checks, goes to ``check_configuration``,
+    which raises on any malformed configuration: whether ``cfg.state``
+    belongs to the machine is only tested there.  The underflow of the
+    backward deltas is checked on the way out.
     """
-    word, head, counters = cfg.word, cfg.head, cfg.counters
+    state, word, head, counters = cfg
     right = len(word) + 1
-    if len(counters) != machine.k or not 0 <= head <= right or min(counters, default=0) < 0:
-        check_configuration(machine, cfg)
-    statuses = tuple([POSITIVE if c else ZERO for c in counters])
-    move = table.move_for(cfg.state, statuses)
-    out = None
-    if move is not None and 0 <= head + move <= right:
-        head += move
-        token = LEFT_END if head == 0 else RIGHT_END if head == right else word[head - 1]
-        out = table.entries.get((cfg.state, token, statuses))
-    if out is None:
-        check_configuration(machine, cfg)
-        return None
-    counters = tuple(map(add, counters, out.deltas))
-    if min(counters, default=0) < 0:
-        raise NegativeCounterError(f"backward deltas {out.deltas} underflow {cfg.counters}")
-    return Configuration(out.target, word, head, counters)
+    row = (table._rows or table._index()).get(
+        (state, tuple([POSITIVE if c > 0 else ZERO if c == 0 else _NEGATIVE for c in counters]))
+    )
+    if row is not None and len(counters) == machine.k and 0 <= head <= right:
+        head += row[0]
+        if 0 <= head <= right:
+            out = row[1].get(LEFT_END if head == 0 else RIGHT_END if head == right else word[head - 1])
+            if out is not None:
+                counters = tuple(map(add, counters, out.deltas))
+                if counters and min(counters) < 0:
+                    raise NegativeCounterError(f"backward deltas {out.deltas} underflow {cfg.counters}")
+                return Configuration(out.target, word, head, counters)
+    check_configuration(machine, cfg)
+    return None
 
 
 @dataclass

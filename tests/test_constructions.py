@@ -1,5 +1,6 @@
 import random
 from itertools import product as cartesian
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from revca.constructions import (
     speedup,
 )
 from revca.core import Transition, all_words, make_automaton, run, validate
+from revca.formats import parse_automaton
 from revca.reversibility import (
     ReverseStep,
     derive_reverse,
@@ -19,9 +21,11 @@ from revca.reversibility import (
     step_back,
     verify_roundtrip,
 )
-from revca.witnesses import build_balance_factor, build_eq_ab
+from revca.witnesses import build_balance_factor, build_balanced, build_eq_ab
 
 from conftest import toy_burst_machine, toy_parity_dfa, toy_stationary_counter
+
+MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
 
 def test_mod_case_table():
@@ -520,3 +524,16 @@ def test_product_matches_table_probing(m1, m2):
 def test_product_move_disagreement_on_stationary_factor():
     with pytest.raises(MoveDisagreementError):
         product_intersection(toy_burst_machine(), build_balance_factor("abc", "c"))
+
+
+def test_constructed_machines_share_their_state_objects(valc_machines):
+    # every transition, the initial state and the accepting states hold the
+    # very object in ``states``, so table probes compare states by identity
+    double_step = parse_automaton((MACHINES / "double_step.rca").read_text())
+    _, v1, v2, both = valc_machines["hartmanis"]
+    for m in (normalize_extended(double_step), v1, v2, both, build_balanced(4)):
+        canon = {s: s for s in m.states}
+        shared = [m.initial, *m.accepting]
+        for t in m.transitions:
+            shared += (t.state, t.target)
+        assert all(canon[s] is s for s in shared), m.name

@@ -23,8 +23,8 @@ from revca.core import (
     validate,
 )
 from revca.formats import FormatError, parse_automaton, parse_mcm, serialize_automaton
-from revca.reversibility import derive_reverse
-from revca.valc import build_valc
+from revca.reversibility import derive_reverse, step_back
+from revca.valc import build_valc, valc_encode
 from revca.witnesses import build_eq_ab
 
 
@@ -451,4 +451,23 @@ def test_constructions_make_no_reference_cycles(collector_restored):
     parsed = parse_automaton(serialize_automaton(rename_states(acceptor)))
     assert derive_reverse(parsed).reversible
     del acceptor, parsed
+    assert gc.collect() == 0
+
+
+def test_backward_replay_makes_no_reference_cycles(collector_restored):
+    # run --backward replays with the collector off, so the reverse table's
+    # row index must be freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    machine = parse_mcm((MACHINES / "double.mcm").read_text())
+    acceptor = build_valc(machine)
+    table = derive_reverse(acceptor).table
+    outcome = run(acceptor, valc_encode(machine, 4).surface(), 10_000)
+    assert outcome.accepted
+    cfg, steps = outcome.final, 0
+    while cfg is not None:
+        start, cfg = cfg, step_back(acceptor, table, cfg)
+        steps += 1
+    assert start == acceptor.initial_configuration(start.word) and steps == outcome.steps + 1
+    del machine, acceptor, table, outcome, start
     assert gc.collect() == 0

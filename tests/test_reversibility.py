@@ -1,9 +1,22 @@
 from itertools import product
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revca.core import Configuration, all_words, make_automaton, run, validate
+from revca.core import (
+    LEFT_END,
+    POSITIVE,
+    RIGHT_END,
+    ZERO,
+    Configuration,
+    NegativeCounterError,
+    all_words,
+    check_configuration,
+    make_automaton,
+    run,
+    validate,
+)
 from revca.reversibility import (
     ExtendedDeltaError,
     ReverseStep,
@@ -323,3 +336,57 @@ def test_verify_roundtrip_reaches_lengths_no_word_loop_can():
     # 2**41 - 1 words; the search visits a few hundred configurations per length
     m = build_eq_ab()
     assert verify_roundtrip(m, derive_reverse(m).table, 40) is None
+
+
+def _step_back_reference(machine, table, cfg):
+    """One backward step as the move map plus two table probes did it: the
+    last entry of a (state, statuses) group sets the group's move."""
+    moves = {(st, d): out.move for (st, _tok, d), out in table.entries.items()}
+    word, head, counters = cfg.word, cfg.head, cfg.counters
+    right = len(word) + 1
+    if len(counters) != machine.k or not 0 <= head <= right or min(counters, default=0) < 0:
+        check_configuration(machine, cfg)
+    statuses = tuple([POSITIVE if c else ZERO for c in counters])
+    move = moves.get((cfg.state, statuses))
+    out = None
+    if move is not None and 0 <= head + move <= right:
+        head += move
+        token = LEFT_END if head == 0 else RIGHT_END if head == right else word[head - 1]
+        out = table.entries.get((cfg.state, token, statuses))
+    if out is None:
+        check_configuration(machine, cfg)
+        return None
+    counters = tuple(map(add, counters, out.deltas))
+    if min(counters, default=0) < 0:
+        raise NegativeCounterError(f"backward deltas {out.deltas} underflow {cfg.counters}")
+    return Configuration(out.target, word, head, counters)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=True))
+def test_step_back_matches_reference(rng):
+    machine, table, _, _ = _roundtrip_case(rng)
+    k = machine.k
+    states = sorted(machine.states) + ["nowhere"]
+    tokens = sorted(machine.alphabet) + ["<", ">"]
+    # groups with mixed moves, moves past either endmarker, negative deltas,
+    # and a few keys whose status vectors have the wrong length
+    entries = table.entries
+    for _ in range(rng.randint(0, 6)):
+        size = k + (rng.choice([-1, 1]) if k and rng.random() < 0.2 else 0)
+        key = (rng.choice(states), rng.choice(tokens), tuple(rng.choice("ZP") for _ in range(size)))
+        deltas = tuple(rng.randint(-3, 1) for _ in range(size))
+        entries[key] = ReverseStep(rng.choice(states), rng.choice([-3, -1, 0, 1, 3]), deltas)
+    table = ReverseTable(entries)
+    configurations = []
+    for word in all_words(machine.alphabet, 2):
+        outcome = _outcome(run, machine, word, 20, True)
+        configurations += getattr(outcome, "trace", None) or []
+    for _ in range(40):
+        word = tuple(rng.choice(sorted(machine.alphabet)) for _ in range(rng.randint(0, 3)))
+        size = k if rng.random() < 0.8 else rng.choice([k + 1, max(k - 1, 0)])
+        counters = tuple(rng.randint(-1 if rng.random() < 0.2 else 0, 2) for _ in range(size))
+        head = rng.randint(-2, len(word) + 3) if rng.random() < 0.2 else rng.randint(0, len(word) + 1)
+        configurations.append(Configuration(rng.choice(states), word, head, counters))
+    for cfg in configurations:
+        assert _outcome(step_back, machine, table, cfg) == _outcome(_step_back_reference, machine, table, cfg)
