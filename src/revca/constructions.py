@@ -20,12 +20,15 @@ from __future__ import annotations
 
 from dataclasses import replace
 from itertools import product as iproduct
+from operator import add
 from typing import Optional
 
 from .core import (
     CounterAutomaton,
+    LEFT_END,
     MachineError,
     POSITIVE,
+    RIGHT_END,
     Transition,
     ZERO,
     status_of,
@@ -40,6 +43,10 @@ class NotQuasiRealtimeError(MachineError):
 
 class AlphabetMismatchError(MachineError):
     pass
+
+
+class EarlyAcceptanceError(MachineError):
+    """A product factor can halt accepting before its head reaches ``>``."""
 
 
 class MoveDisagreementError(MachineError):
@@ -67,11 +74,13 @@ def _carry(residues: tuple[int, ...], statuses: tuple[str, ...], deltas: tuple[i
     """The residue/carry kernel shared by machine and reverse-table
     normalization: one source row (statuses, deltas) at one residue vector.
 
-    Yields (stored statuses, new residues, carries) for every stored-value
-    status vector that lifts to ``statuses`` (a source counter is zero
-    exactly when its residue and stored value both are).  A carry that would
-    decrement a zero stored value is dropped: it stands for a source step
-    that would drive the value negative, which the model forbids.
+    Returns a tuple of (stored statuses, new residues, carries), one row for
+    every stored-value status vector that lifts to ``statuses`` (a source
+    counter is zero exactly when its residue and stored value both are).  A
+    carry that would decrement a zero stored value is dropped: it stands for
+    a source step that would drive the value negative, which the model
+    forbids.  The rows depend on (residues, statuses, deltas) alone, so the
+    callers keep one memo per modulus and run the kernel once per key.
     """
     cases = [_mod_case(m, b, c) for m, b in zip(residues, deltas)]
     choices = []
@@ -82,8 +91,7 @@ def _carry(residues: tuple[int, ...], statuses: tuple[str, ...], deltas: tuple[i
             choices.append((POSITIVE,) if m == 0 or carry < 0 else (ZERO, POSITIVE))
     new_res = tuple(m for m, _ in cases)
     carries = tuple(b for _, b in cases)
-    for stored in iproduct(*choices):
-        yield stored, new_res, carries
+    return tuple((stored, new_res, carries) for stored in iproduct(*choices))
 
 
 def normalize_extended(
@@ -109,10 +117,14 @@ def normalize_extended(
     initial = (machine.initial, (0,) * k)
     seen, frontier = {initial: initial}, [initial]
     transitions = []
+    rows: dict[tuple, tuple] = {}  # (residues, statuses, deltas) -> _carry rows
     while frontier:
         state, residues = source = frontier.pop()
         for t in machine.outgoing.get(state, ()):
-            for statuses, new_res, carries in _carry(residues, t.statuses, t.deltas, c):
+            carried = rows.get((residues, t.statuses, t.deltas))
+            if carried is None:
+                carried = rows[residues, t.statuses, t.deltas] = _carry(residues, t.statuses, t.deltas, c)
+            for statuses, new_res, carries in carried:
                 pair = (t.target, new_res)
                 target = seen.setdefault(pair, pair)
                 if target is pair:
@@ -130,14 +142,19 @@ def normalize_extended(
     )
     if reverse is None:
         return out
-    return out, _normalize_reverse(reverse, c, k)
+    return out, _normalize_reverse(reverse, c, k, rows)
 
 
-def _normalize_reverse(reverse: ReverseTable, c: int, k: int) -> ReverseTable:
+def _normalize_reverse(reverse: ReverseTable, c: int, k: int, rows: dict) -> ReverseTable:
+    """Mirror the normalization on a reverse table over every residue vector,
+    sharing the machine's kernel memo ``rows`` (both use modulus ``c``)."""
     entries = {}
     for residues in iproduct(range(c), repeat=k):
         for (state, token, post), out in reverse.entries.items():
-            for statuses, new_res, carries in _carry(residues, post, out.deltas, c):
+            carried = rows.get((residues, post, out.deltas))
+            if carried is None:
+                carried = rows[residues, post, out.deltas] = _carry(residues, post, out.deltas, c)
+            for statuses, new_res, carries in carried:
                 entries[(state, residues), token, statuses] = ReverseStep((out.target, new_res), out.move, carries)
     return ReverseTable(entries)
 
@@ -153,7 +170,7 @@ def remove_initial_left_loops(machine: CounterAutomaton) -> CounterAutomaton:
         t
         for t in machine.transitions
         if not (
-            t.token == "<"
+            t.token == LEFT_END
             and t.state not in machine.accepting
             and t.move == 0
             and t.statuses == zeros
@@ -221,28 +238,30 @@ def _macro_step(norm, state, token, statuses, ell):
     a key of its table.
 
     Returns (target, move, total deltas).  Raises when the stationary run
-    exceeds ell, which contradicts the quasi-real-time premise.
+    exceeds ell, which contradicts the quasi-real-time premise.  The seed's
+    stand-in counters have the seed's own statuses, so the first probe uses
+    ``statuses`` as given.
     """
+    table = norm.table
     counters = tuple(1 if s == POSITIVE else 0 for s in statuses)
+    total = (0,) * len(counters)
     current = state
-    total = [0] * len(counters)
     stationary = 0
-    while True:
-        t = norm.table.get((current, token, status_of(counters)))
-        if t is None:
-            return current, 0, tuple(total)
-        counters = tuple(v + d for v, d in zip(counters, t.deltas))
-        for i, d in enumerate(t.deltas):
-            total[i] += d
+    t = table.get((current, token, statuses))
+    while t is not None:
+        counters = tuple(map(add, counters, t.deltas))
+        total = tuple(map(add, total, t.deltas))
         current = t.target
         if t.move == 1:
-            return current, 1, tuple(total)
+            return current, 1, total
         stationary += 1
         if stationary > ell:
             raise NotQuasiRealtimeError(
                 f"more than {ell} consecutive stationary moves from seed "
                 f"({state!r}, {token!r}, {''.join(statuses)})"
             )
+        t = table.get((current, token, status_of(counters)))
+    return current, 0, total
 
 
 def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterAutomaton:
@@ -252,14 +271,22 @@ def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterA
     every jointly defined key; keys where exactly one factor has a transition
     simply halt the product.  Only state pairs reachable from the initial pair
     are materialized, each as one tuple object shared by ``states``,
-    ``initial``, ``accepting`` and every transition.  Meaningful when
-    accepting runs of both factors read their whole input, which holds for
-    every machine built by this package.
+    ``initial``, ``accepting`` and every transition.
+
+    A factor that halts accepting on a letter while the other reads on would
+    make the product reject a word both accept.  So each accepting state that
+    the initial state, or any step other than a stationary ``>`` step, can
+    enter must have a transition for every letter and every status vector;
+    otherwise ``EarlyAcceptanceError`` is raised.  The check does not cover
+    ``>`` itself: factors that halt there after different numbers of
+    stationary steps can still make the product reject a word both accept.
     """
     if m1.alphabet != m2.alphabet:
         raise AlphabetMismatchError(
             f"alphabets differ: {sorted(m1.alphabet)} vs {sorted(m2.alphabet)}"
         )
+    _check_accepts_at_end(m1)
+    _check_accepts_at_end(m2)
     by_token2: dict[tuple, list[Transition]] = {}
     for t in m2.transitions:
         by_token2.setdefault((t.state, t.token), []).append(t)
@@ -290,3 +317,20 @@ def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterA
         max_delta=max(m1.max_delta, m2.max_delta),
         name=f"({m1.name}&{m2.name})" if m1.name or m2.name else "",
     )
+
+
+def _check_accepts_at_end(machine: CounterAutomaton) -> None:
+    """Raise unless every accepting state that can be entered other than by a
+    stationary ``>`` step reads on at every letter and status vector."""
+    entered = {machine.initial}.union(
+        t.target for t in machine.transitions if t.token != RIGHT_END or t.move
+    )
+    vectors = list(iproduct((ZERO, POSITIVE), repeat=machine.k))
+    for state in sorted(entered & machine.accepting, key=repr):
+        for letter in sorted(machine.alphabet):
+            for statuses in vectors:
+                if (state, letter, statuses) not in machine.table:
+                    raise EarlyAcceptanceError(
+                        "lockstep product needs factors that accept only at '>': "
+                        f"accepting state {state!r} halts on {letter!r} at status {''.join(statuses)!r}"
+                    )

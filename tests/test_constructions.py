@@ -1,19 +1,27 @@
 import random
+from dataclasses import replace
 from itertools import product as cartesian
 from pathlib import Path
 
 import pytest
 
+from revca import constructions
 from revca.constructions import (
     AlphabetMismatchError,
+    EarlyAcceptanceError,
     MoveDisagreementError,
+    NotQuasiRealtimeError,
+    _check_accepts_at_end,
+    _macro_step,
     _mod_case,
     normalize_extended,
     product_intersection,
+    remove_initial_left_loops,
     speedup,
 )
-from revca.core import Transition, all_words, make_automaton, run, validate
+from revca.core import POSITIVE, Transition, all_words, make_automaton, run, status_of, validate
 from revca.formats import parse_automaton
+from revca.mcm import hartmanis_example
 from revca.reversibility import (
     ReverseStep,
     derive_reverse,
@@ -21,7 +29,8 @@ from revca.reversibility import (
     step_back,
     verify_roundtrip,
 )
-from revca.witnesses import build_balance_factor, build_balanced, build_eq_ab
+from revca.valc import build_valc_part_slow
+from revca.witnesses import build_balance_factor, build_balanced, build_eq_ab, build_regular_witness
 
 from conftest import toy_burst_machine, toy_parity_dfa, toy_stationary_counter
 
@@ -87,6 +96,52 @@ def test_normalize_reverse_construction():
             assert step_back(norm, norm_table, after) == before
     # and the mechanical derivation agrees on reversibility
     assert derive_reverse(norm).reversible
+
+
+def _counting_kernel(monkeypatch):
+    """Wrap the residue/carry kernel; returns the list of keys it is run on."""
+    calls = []
+    kernel = constructions._carry
+
+    def counting(residues, statuses, deltas, c):
+        calls.append((residues, statuses, deltas))
+        return kernel(residues, statuses, deltas, c)
+
+    monkeypatch.setattr(constructions, "_carry", counting)
+    return calls
+
+
+def _machine_kernel_keys(machine, norm):
+    return {
+        (residues, t.statuses, t.deltas)
+        for state, residues in norm.states
+        for t in machine.outgoing.get(state, ())
+    }
+
+
+def test_normalize_runs_the_kernel_once_per_distinct_effect(monkeypatch):
+    slow = replace(build_valc_part_slow(hartmanis_example(), 1), max_delta=7)
+    calls = _counting_kernel(monkeypatch)
+    norm = normalize_extended(slow)
+    keys = _machine_kernel_keys(slow, norm)
+    assert len(calls) == len(set(calls)) == len(keys) < len(norm.transitions)
+    assert set(calls) == keys
+
+
+def test_normalize_reverse_shares_the_kernel_memo(monkeypatch):
+    ext = extended_demo()
+    table = derive_reverse_any(ext).table
+    calls = _counting_kernel(monkeypatch)
+    norm, _ = normalize_extended(ext, reverse=table)
+    c, k = ext.max_delta, ext.k
+    reverse_keys = {
+        (residues, post, out.deltas)
+        for residues in cartesian(range(c), repeat=k)
+        for (_, _, post), out in table.entries.items()
+    }
+    keys = _machine_kernel_keys(ext, norm) | reverse_keys
+    assert len(calls) == len(set(calls)) == len(keys)
+    assert set(calls) == keys
 
 
 def random_extended_machine(rng: random.Random):
@@ -242,8 +297,6 @@ def test_speedup_burst_machine():
 
 
 def test_speedup_rejects_undersized_stationary_budget():
-    from revca.constructions import NotQuasiRealtimeError
-
     with pytest.raises(NotQuasiRealtimeError):
         speedup(toy_burst_machine(), 1)  # its bursts need two stationary moves
 
@@ -272,8 +325,6 @@ def test_speedup_removes_initial_left_loop():
     ],
 )
 def test_speedup_keeps_initial_left_loop_from_accepting_state(rows, accepting):
-    from revca.constructions import NotQuasiRealtimeError
-
     # every run loops on the left endmarker: the language is empty, and
     # dropping the loop's last move would halt the run in an accepting state
     m = make_automaton(
@@ -297,10 +348,6 @@ def test_speedup_random_ordinary_machines():
     """Over ordinary sources the result is ordinary, accepts what the
     source accepts, and has the runs and the reversibility verdict of its
     re-split at c = ell + 1."""
-    from dataclasses import replace
-
-    from revca.constructions import NotQuasiRealtimeError
-
     rng = random.Random(90210)
     sped_up = reversible_sources = 0
     while sped_up < 300:
@@ -326,6 +373,63 @@ def test_speedup_random_ordinary_machines():
             reversible_sources += 1
             assert derive_reverse(fast).reversible == derive_reverse(resplit).reversible, m
     assert reversible_sources >= 10
+
+
+def _macro_step_reference(norm, state, token, statuses, ell):
+    """The macro-step replay as first written: every probe rebuilds its
+    status vector, and the deltas are summed into a list."""
+    counters = tuple(1 if s == POSITIVE else 0 for s in statuses)
+    current = state
+    total = [0] * len(counters)
+    stationary = 0
+    while True:
+        t = norm.table.get((current, token, status_of(counters)))
+        if t is None:
+            return current, 0, tuple(total)
+        counters = tuple(v + d for v, d in zip(counters, t.deltas))
+        for i, d in enumerate(t.deltas):
+            total[i] += d
+        current = t.target
+        if t.move == 1:
+            return current, 1, tuple(total)
+        stationary += 1
+        if stationary > ell:
+            raise NotQuasiRealtimeError(
+                f"more than {ell} consecutive stationary moves from seed "
+                f"({state!r}, {token!r}, {''.join(statuses)})"
+            )
+
+
+def _replay(step, norm, t, ell):
+    try:
+        return step(norm, t.state, t.token, t.statuses, ell)
+    except NotQuasiRealtimeError as exc:
+        return str(exc)
+
+
+def test_macro_step_matches_reference():
+    """From every seed of the normalized machine, on ordinary and extended
+    sources alike, the replay returns the reference's (target, move, deltas)
+    or raises its message."""
+    rng = random.Random(4242)
+    ordinary = extended = outcomes = refusals = 0
+    while ordinary < 60 or extended < 60:
+        m = random_extended_machine(rng)
+        if validate(m):
+            continue
+        if m.max_delta == 1:
+            ordinary += 1
+        else:
+            extended += 1
+        ell = rng.randint(1, 3)
+        norm = normalize_extended(replace(m, max_delta=(ell + 1) * m.max_delta))
+        norm = remove_initial_left_loops(norm)
+        for t in norm.transitions:
+            got = _replay(_macro_step, norm, t, ell)
+            assert got == _replay(_macro_step_reference, norm, t, ell), (m, ell, t)
+            refusals += isinstance(got, str)
+            outcomes += 1
+    assert 0 < refusals < outcomes
 
 
 @pytest.mark.parametrize(
@@ -374,8 +478,6 @@ def test_speedup_extended_machine(rows, max_delta, ell):
 def test_speedup_random_extended_machines():
     """Over extended sources (max_delta 2 to 4) the result is ordinary and
     accepts what the source accepts, within |w| + 2 steps."""
-    from revca.constructions import NotQuasiRealtimeError
-
     rng = random.Random(5)
     sped_up = 0
     while sped_up < 400:
@@ -434,6 +536,32 @@ def test_product_identity_element():
     prod = product_intersection(eq, accept_all)
     for word in all_words({"a", "b"}, 8):
         assert run(prod, word, 100).accepted == run(eq, word, 100).accepted
+
+
+def test_product_refuses_factor_accepting_before_the_end():
+    # accepts every word right after '<'; the product with a* would reject a
+    early = make_automaton(
+        [("p0", "<", "", "p1", 1, "")], initial="p0", accepting=["p1"], k=0, alphabet={"a"}
+    )
+    a_star = make_automaton(
+        [("u0", "<", "", "u", 1, ""), ("u", "a", "", "u", 1, ""), ("u", ">", "", "uacc", 0, "")],
+        initial="u0", accepting=["uacc"], k=0, alphabet={"a"},
+    )
+    assert run(early, "a", 10).accepted and run(a_star, "a", 10).accepted
+    for m1, m2 in ((early, a_star), (a_star, early)):
+        with pytest.raises(EarlyAcceptanceError, match="'p1' halts on 'a'"):
+            product_intersection(m1, m2)
+
+
+def test_shipped_and_built_machines_accept_only_at_the_end(valc_machines):
+    machines = [parse_automaton(path.read_text()) for path in sorted(MACHINES.glob("*.rca"))]
+    machines += [build_eq_ab(), build_regular_witness(), build_balanced(4), build_balance_factor("abc", "c")]
+    machines += [toy_burst_machine(), toy_parity_dfa(), toy_stationary_counter()]
+    for _, v1, v2, _ in valc_machines.values():
+        machines += [v1, v2]
+    assert len(machines) == 16
+    for m in machines:
+        _check_accepts_at_end(m)
 
 
 def test_product_alphabet_mismatch():
