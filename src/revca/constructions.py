@@ -1,17 +1,18 @@
 """Automaton-to-automaton constructions that preserve reversibility.
 
-Three transformations live here:
+Three transformations live here, each building only the states reachable
+from its initial one:
 
 * ``normalize_extended`` turns a machine whose steps may change a counter by
   any amount up to ``c`` into an ordinary one, splitting each counter value x
-  into the stored value x // c plus a residue x % c kept in the state, and
-  building only the (state, residues) pairs reachable from the initial one.
+  into the stored value x // c plus a residue x % c kept in the state.
 * ``speedup`` removes stationary moves from a quasi-real-time machine by
   collapsing each maximal run of stationary steps plus the following moving
   step into a single macro-step.  Over residues mod c = (ell + 1) * D, for
   the input's ``max_delta`` D, a macro-step of at most ell + 1 unit steps
   changes a stored value by floor((r + S) / c) for a residue r in [0, c) and
-  a source change S in [-c, c], so by at most one.
+  a source change S in [-c, c], so by at most one: the macro-steps already
+  form an ordinary machine.
 * ``product_intersection`` runs two machines in lockstep on a shared state
   pair and concatenated counters, accepting exactly the intersection.
 """
@@ -31,6 +32,7 @@ from .core import (
     RIGHT_END,
     Transition,
     ZERO,
+    _reachable_machine,
     status_of,
     validate,
 )
@@ -102,9 +104,7 @@ def normalize_extended(
 
     States become (state, residues); a counter value x of the source is
     represented as stored value x // c with residue x % c in the state.  Only
-    the pairs reachable from (initial, zeros) are built, each as one tuple
-    object shared by ``states``, ``initial``, ``accepting`` and every
-    transition.
+    the pairs reachable from (initial, zeros) are built.
 
     With a reverse table for the source supplied, the mirrored construction is
     applied to it over every residue vector, and (machine, table) is returned;
@@ -114,46 +114,35 @@ def normalize_extended(
     if defects:
         raise MachineError("normalize_extended needs a clean machine: " + "; ".join(defects))
     c, k = machine.max_delta, machine.k
-    initial = (machine.initial, (0,) * k)
-    seen, frontier = {initial: initial}, [initial]
-    transitions = []
-    rows: dict[tuple, tuple] = {}  # (residues, statuses, deltas) -> _carry rows
-    while frontier:
-        state, residues = source = frontier.pop()
+    memo: dict[tuple, tuple] = {}  # (residues, statuses, deltas) -> _carry rows
+
+    def rows(source):
+        state, residues = source
         for t in machine.outgoing.get(state, ()):
-            carried = rows.get((residues, t.statuses, t.deltas))
+            carried = memo.get((residues, t.statuses, t.deltas))
             if carried is None:
-                carried = rows[residues, t.statuses, t.deltas] = _carry(residues, t.statuses, t.deltas, c)
+                carried = memo[residues, t.statuses, t.deltas] = _carry(residues, t.statuses, t.deltas, c)
             for statuses, new_res, carries in carried:
-                pair = (t.target, new_res)
-                target = seen.setdefault(pair, pair)
-                if target is pair:
-                    frontier.append(target)
-                transitions.append(Transition(source, t.token, statuses, target, t.move, carries))
-    out = CounterAutomaton(
-        states=frozenset(seen),
-        alphabet=machine.alphabet,
-        k=k,
-        transitions=tuple(transitions),
-        initial=initial,
-        accepting=frozenset(st for st in seen if st[0] in machine.accepting),
-        max_delta=1,
+                yield t.token, statuses, (t.target, new_res), t.move, carries
+
+    out = _reachable_machine(
+        (machine.initial, (0,) * k), rows, lambda st: st[0] in machine.accepting, machine.alphabet, k,
         name=f"norm({machine.name})" if machine.name else "",
     )
     if reverse is None:
         return out
-    return out, _normalize_reverse(reverse, c, k, rows)
+    return out, _normalize_reverse(reverse, c, k, memo)
 
 
-def _normalize_reverse(reverse: ReverseTable, c: int, k: int, rows: dict) -> ReverseTable:
+def _normalize_reverse(reverse: ReverseTable, c: int, k: int, memo: dict) -> ReverseTable:
     """Mirror the normalization on a reverse table over every residue vector,
-    sharing the machine's kernel memo ``rows`` (both use modulus ``c``)."""
+    sharing the machine's kernel memo (both use modulus ``c``)."""
     entries = {}
     for residues in iproduct(range(c), repeat=k):
         for (state, token, post), out in reverse.entries.items():
-            carried = rows.get((residues, post, out.deltas))
+            carried = memo.get((residues, post, out.deltas))
             if carried is None:
-                carried = rows[residues, post, out.deltas] = _carry(residues, post, out.deltas, c)
+                carried = memo[residues, post, out.deltas] = _carry(residues, post, out.deltas, c)
             for statuses, new_res, carries in carried:
                 entries[(state, residues), token, statuses] = ReverseStep((out.target, new_res), out.move, carries)
     return ReverseTable(entries)
@@ -190,16 +179,16 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
     an accepting computation.  Stage one normalizes with c = (ell + 1) * D,
     for the input's ``max_delta`` D, whose residue components give every
     state exact knowledge of counter values below c; stage two replays, from
-    every key of the normalized table, the maximal stationary run plus one
-    moving step and emits it as a single transition (a halting run stays
-    stationary and is emitted with the deltas gathered so far).
+    every key of the normalized table at a state that the initial state or a
+    macro-step reaches, the maximal stationary run plus one moving step and
+    emits it as a single transition (a halting run stays stationary and is
+    emitted with the deltas gathered so far).
 
     A macro-step spans at most ell + 1 unit steps, so it changes a source
     counter by some S in [-c, c], and its stored value by floor((r + S) / c)
-    in [-1, 1], where r in [0, c) is the residue at the seed.  The macro
-    machine is therefore ordinary: the closing normalization runs at c = 1
-    and only drops what is unreachable, and its ``validate`` raises if a
-    macro-step ever broke the bound.
+    in [-1, 1], where r in [0, c) is the residue at the seed.  The result is
+    therefore ordinary, and a ``MachineError`` is raised if ``validate``
+    finds that a macro-step broke the bound.
 
     Seeds use counter stand-ins (1 for a positive status): every prefix of a
     macro-step changes the source value by at most c, so a stored value
@@ -219,18 +208,19 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
     norm = normalize_extended(replace(machine, max_delta=c))
     norm = remove_initial_left_loops(norm)
 
-    macro_transitions = []
-    for t in norm.transitions:
-        target, move, deltas = _macro_step(norm, t.state, t.token, t.statuses, ell)
-        macro_transitions.append(Transition(t.state, t.token, t.statuses, target, move, deltas))
-    macro_machine = replace(
-        norm,
-        transitions=tuple(macro_transitions),
-        max_delta=1,
-        name=f"macro({machine.name})" if machine.name else "",
+    def rows(state):
+        for t in norm.outgoing.get(state, ()):
+            target, move, deltas = _macro_step(norm, state, t.token, t.statuses, ell)
+            yield t.token, t.statuses, target, move, deltas
+
+    out = _reachable_machine(
+        norm.initial, rows, norm.accepting.__contains__, norm.alphabet, norm.k,
+        name=f"rt({machine.name})" if machine.name else "",
     )
-    out = normalize_extended(macro_machine)
-    return replace(out, name=f"rt({machine.name})" if machine.name else "")
+    defects = validate(out)
+    if defects:
+        raise MachineError("speedup built a macro-step outside the model: " + "; ".join(defects))
+    return out
 
 
 def _macro_step(norm, state, token, statuses, ell):
@@ -270,8 +260,7 @@ def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterA
     Both factors must share an alphabet and move their heads identically on
     every jointly defined key; keys where exactly one factor has a transition
     simply halt the product.  Only state pairs reachable from the initial pair
-    are materialized, each as one tuple object shared by ``states``,
-    ``initial``, ``accepting`` and every transition.
+    are materialized.
 
     A factor that halts accepting on a letter while the other reads on would
     make the product reject a word both accept.  So each accepting state that
@@ -290,32 +279,19 @@ def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterA
     by_token2: dict[tuple, list[Transition]] = {}
     for t in m2.transitions:
         by_token2.setdefault((t.state, t.token), []).append(t)
-    initial = (m1.initial, m2.initial)
-    seen, frontier = {initial: initial}, [initial]
-    transitions = []
-    while frontier:
-        pair = frontier.pop()
+
+    def rows(pair):
         state1, state2 = pair
         for t1 in m1.outgoing.get(state1, ()):
             for t2 in by_token2.get((state2, t1.token), ()):
                 if t1.move != t2.move:
                     raise MoveDisagreementError(t1, t2)
-                joint = (t1.target, t2.target)
-                target = seen.setdefault(joint, joint)
-                if target is joint:
-                    frontier.append(target)
-                transitions.append(
-                    Transition(pair, t1.token, t1.statuses + t2.statuses, target, t1.move, t1.deltas + t2.deltas)
-                )
-    return CounterAutomaton(
-        states=frozenset(seen),
-        alphabet=m1.alphabet,
-        k=m1.k + m2.k,
-        transitions=tuple(transitions),
-        initial=initial,
-        accepting=frozenset(p for p in seen if p[0] in m1.accepting and p[1] in m2.accepting),
-        max_delta=max(m1.max_delta, m2.max_delta),
-        name=f"({m1.name}&{m2.name})" if m1.name or m2.name else "",
+                yield t1.token, t1.statuses + t2.statuses, (t1.target, t2.target), t1.move, t1.deltas + t2.deltas
+
+    return _reachable_machine(
+        (m1.initial, m2.initial), rows, lambda p: p[0] in m1.accepting and p[1] in m2.accepting,
+        m1.alphabet, m1.k + m2.k, max(m1.max_delta, m2.max_delta),
+        f"({m1.name}&{m2.name})" if m1.name or m2.name else "",
     )
 
 

@@ -211,6 +211,37 @@ def make_automaton(
     )
 
 
+def _reachable_machine(initial, rows, accepting, alphabet, k, max_delta=1, name="") -> CounterAutomaton:
+    """Build the machine of every state reachable from ``initial``.
+
+    ``rows(state)`` yields the (token, statuses, target, move, deltas) rows
+    leaving a state and ``accepting(state)`` says whether it accepts.  States
+    are expanded last in, first out, and each is held as the first object
+    that reached it, shared by ``states``, ``initial``, ``accepting`` and
+    every transition, so table probes match states by identity.
+    """
+    seen, frontier = {initial: initial}, [initial]
+    transitions = []
+    while frontier:
+        source = frontier.pop()
+        for token, statuses, reached, move, deltas in rows(source):
+            target = seen.get(reached)
+            if target is None:
+                target = seen[reached] = reached
+                frontier.append(target)
+            transitions.append(Transition(source, token, statuses, target, move, deltas))
+    return CounterAutomaton(
+        states=frozenset(seen),
+        alphabet=frozenset(alphabet),
+        k=k,
+        transitions=tuple(transitions),
+        initial=initial,
+        accepting=frozenset(filter(accepting, seen)),
+        max_delta=max_delta,
+        name=name,
+    )
+
+
 def validate(machine: CounterAutomaton) -> list[str]:
     """Check well-formedness; returns one message per defect, empty if clean.
 

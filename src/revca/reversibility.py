@@ -121,7 +121,8 @@ def derive_reverse(machine: CounterAutomaton) -> ReversibilityVerdict:
 
 
 def derive_reverse_any(machine: CounterAutomaton) -> ReversibilityVerdict:
-    """Derivation without the max_delta guard, for internal construction use.
+    """``derive_reverse`` without the max_delta guard, so that an extended
+    machine's table can be handed to ``normalize_extended(m, reverse=...)``.
 
     Each entry key is hashed once on the way in, and each new entry's
     (state, post-statuses) group is checked for one backward move right

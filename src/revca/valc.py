@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional
 
-from .core import CounterAutomaton, MachineError, make_automaton
+from .core import CounterAutomaton, MachineError, _reachable_machine
 from .constructions import product_intersection, speedup
 from .mcm import McmStatus, MultCounterMachine, mcm_run
 
@@ -470,22 +470,12 @@ def build_valc_part_slow(machine: MultCounterMachine, part: int) -> CounterAutom
             return [(token, Z, target, 1, 0) for token, target in exits]
         return []  # accepting and dead states
 
-    transitions: list[tuple] = []
-    reached = {("start",)}
-    todo = [("start",)]
-    while todo:
-        state = todo.pop()
+    def rows(state):
         for token, status, target, move, delta in rules(state):
-            transitions.append((state, token, (status,), target, move, (delta,)))
-            if target not in reached:
-                reached.add(target)
-                todo.append(target)
-    return make_automaton(
-        transitions,
-        initial=("start",),
-        accepting=reached & set(ends.values()),
-        k=1,
-        alphabet=valc_alphabet(machine),
+            yield token, (status,), target, move, (delta,)
+
+    return _reachable_machine(
+        ("start",), rows, set(ends.values()).__contains__, valc_alphabet(machine), 1,
         name=f"valc{part}({machine.name})",
     )
 

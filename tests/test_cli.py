@@ -281,6 +281,43 @@ def test_cli_check_output_is_pinned(name, tmp_path, capsys, request):
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_SHA256[name]
 
 
+# SHA-256 of the files that the construction commands write; the same
+# commands run under two hash seeds in CI, where their outputs must agree.
+CONSTRUCTION_SHA256 = {
+    "normalize": (
+        ["normalize", "double_step.rca"],
+        "a5afc31136695928837951258998ba448783961e7d26fcb0f419a72fdf683d4a",
+    ),
+    "speedup": (
+        ["speedup", "toy_stationary.rca", "--ell", "1"],
+        "a4debf335ea3a163fb6db9daf0da5fdcdf5e465e57e9eec12ff64826e91ef96a",
+    ),
+    "speedup-extended": (
+        ["speedup", "double_step.rca", "--ell", "1"],
+        "5ac3a69f46f5d235296a9bcd6595aa006caf0660c444b1ceb4de15d53a8dc6cc",
+    ),
+    "product": (
+        ["product", "eq_ab.rca", "regular_witness.rca"],
+        "eddd8ff2c576ac72afb4eae3ef1bd88f1d39a4e390b172940c286f21f2295fbf",
+    ),
+    "example": (
+        ["example", "balanced-k:4"],
+        "b2b53af15cedbbf9b5e469aafc69ef299f7fdb582034cb886230245e83525815",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTION_SHA256))
+def test_cli_construction_output_is_pinned(name, tmp_path):
+    import hashlib
+
+    argv, digest = CONSTRUCTION_SHA256[name]
+    argv = [str(MACHINES / a) if a.endswith(".rca") else a for a in argv]
+    path = tmp_path / "out.rca"
+    assert main([*argv, "-o", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 # State names whose reprs order differently from the names themselves: `!`
 # and `&` sort below the closing quote, and a name holding a quote changes
 # the quote style of its repr.

@@ -19,7 +19,7 @@ from revca.constructions import (
     remove_initial_left_loops,
     speedup,
 )
-from revca.core import POSITIVE, Transition, all_words, make_automaton, run, status_of, validate
+from revca.core import POSITIVE, Transition, Verdict, all_words, make_automaton, run, status_of, validate
 from revca.formats import parse_automaton
 from revca.mcm import hartmanis_example
 from revca.reversibility import (
@@ -334,6 +334,31 @@ def test_speedup_keeps_initial_left_loop_from_accepting_state(rows, accepting):
     assert not any(run(m, word, 50).accepted for word in all_words({"a"}, 3))
     with pytest.raises(NotQuasiRealtimeError):
         speedup(m, 2)
+
+
+def test_speedup_skips_seeds_no_macro_step_reaches():
+    # s1 is entered only by a stationary step on '<', so no macro-step starts
+    # there; replaying its 'a' key would exceed the budget of one
+    m = make_automaton(
+        [
+            ("s0", "<", "Z", "s1", 0, (0,)),
+            ("s1", "<", "Z", "s2", 1, (0,)),
+            ("s2", "a", "Z", "s2", 1, (1,)),
+            ("s2", "a", "P", "s2", 1, (1,)),
+            ("s1", "a", "Z", "s3", 0, (0,)),
+            ("s3", "a", "Z", "s4", 0, (0,)),
+            ("s4", "a", "Z", "s5", 1, (0,)),
+        ],
+        initial="s0", accepting=["s2"], k=1, alphabet={"a"},
+    )
+    with pytest.raises(NotQuasiRealtimeError):
+        _macro_step(normalize_extended(replace(m, max_delta=2)), ("s1", (0,)), "a", ("Z",), 1)
+    fast = speedup(m, 1)
+    assert derive_reverse(fast).reversible
+    for word in all_words({"a"}, 8):
+        quick = run(fast, word, len(word) + 2)
+        assert quick.verdict is not Verdict.FUEL_EXHAUSTED
+        assert quick.accepted == run(m, word, 100).accepted
 
 
 def test_speedup_already_real_time_machine():
@@ -659,7 +684,15 @@ def test_constructed_machines_share_their_state_objects(valc_machines):
     # very object in ``states``, so table probes compare states by identity
     double_step = parse_automaton((MACHINES / "double_step.rca").read_text())
     _, v1, v2, both = valc_machines["hartmanis"]
-    for m in (normalize_extended(double_step), v1, v2, both, build_balanced(4)):
+    for m in (
+        normalize_extended(double_step),
+        build_valc_part_slow(hartmanis_example(), 1),
+        speedup(toy_stationary_counter(), 1),
+        v1,
+        v2,
+        both,
+        build_balanced(4),
+    ):
         canon = {s: s for s in m.states}
         shared = [m.initial, *m.accepting]
         for t in m.transitions:
