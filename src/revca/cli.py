@@ -110,13 +110,13 @@ def cmd_check(args) -> int:
             print(f"  {c.kind} clash at {c.key}: {c.first.key} vs {c.second.key}")
         return 1
     entries = verdict.table.entries
-    lines = [f"REVERSIBLE ({len(entries)} backward entries)\n"]
-    for key in _repr_order(entries):
-        state, token, statuses = key
-        out = entries[key]
-        status, deltas = formats.status_text(statuses), formats.delta_text(out.deltas)
-        lines.append(f"  {state} {token} {status} <- {out.target} {out.move} {deltas}\n")
-    sys.stdout.write("".join(lines))
+    order = _repr_order(entries)
+    status_text, delta_text = formats.status_text, formats.delta_text
+    lines = [
+        f"  {state} {token} {status_text(statuses)} <- {target} {move} {delta_text(deltas)}\n"
+        for (state, token, statuses), (target, move, deltas) in zip(order, map(entries.__getitem__, order))
+    ]
+    sys.stdout.write(f"REVERSIBLE ({len(entries)} backward entries)\n" + "".join(lines))
     if args.mode == "roundtrip":
         bad = reversibility.verify_roundtrip(machine, verdict.table, args.max_len)
         if bad is not None:

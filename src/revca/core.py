@@ -221,7 +221,7 @@ def _reachable_machine(initial, rows, accepting, alphabet, k, max_delta=1, name=
     every transition, so table probes match states by identity.
     """
     seen, frontier = {initial: initial}, [initial]
-    transitions = []
+    transitions, new = [], tuple.__new__
     while frontier:
         source = frontier.pop()
         for token, statuses, reached, move, deltas in rows(source):
@@ -229,7 +229,7 @@ def _reachable_machine(initial, rows, accepting, alphabet, k, max_delta=1, name=
             if target is None:
                 target = seen[reached] = reached
                 frontier.append(target)
-            transitions.append(Transition(source, token, statuses, target, move, deltas))
+            transitions.append(new(Transition, (source, token, statuses, target, move, deltas)))
     return CounterAutomaton(
         states=frozenset(seen),
         alphabet=frozenset(alphabet),
@@ -256,7 +256,13 @@ def validate(machine: CounterAutomaton) -> list[str]:
 def defects_by_transition(machine: CounterAutomaton):
     """``validate``'s messages, in order, each with the index in
     ``machine.transitions`` of the transition it belongs to, or None for a
-    defect of the machine as a whole."""
+    defect of the machine as a whole.
+
+    Whole-table checks answer first: the keys are distinct, every source and
+    target is a state, every distinct (token, move) pair and every distinct
+    (statuses, deltas) effect is sound.  Only when one of them fails does a
+    per-transition pass run, to say which transitions are at fault and why.
+    """
     if machine.k < 0:
         yield None, f"counter count k={machine.k} is negative"
     if machine.max_delta < 1:
@@ -276,13 +282,22 @@ def defects_by_transition(machine: CounterAutomaton):
 
     # the status and delta checks depend only on a transition's effect, so
     # they run once per distinct effect; the prefix is built only for a defect
-    effects: dict[tuple[StatusVector, Deltas], tuple[list[str], list[str]]] = {}
+    transitions, states, alphabet = machine.transitions, machine.states, machine.alphabet
+    effects = {effect: _effect_defects(machine, *effect) for effect in set(map(itemgetter(2, 5), transitions))}
+    if (
+        len(dict(zip(map(itemgetter(0, 1, 2), transitions), transitions))) == len(transitions)
+        and states.issuperset(map(itemgetter(0), transitions))
+        and states.issuperset(map(itemgetter(3), transitions))
+        and all(
+            (token in alphabet or token in ENDMARKERS) and move in (0, 1) and not (token == RIGHT_END and move == 1)
+            for token, move in set(map(itemgetter(1, 4), transitions))
+        )
+        and not any(status_defects or delta_defects for status_defects, delta_defects in effects.values())
+    ):
+        return
     seen: dict[tuple, Transition] = {}
-    states, alphabet = machine.states, machine.alphabet
-    for i, t in enumerate(machine.transitions):
-        effect = effects.get((t.statuses, t.deltas))
-        if effect is None:
-            effect = effects[t.statuses, t.deltas] = _effect_defects(machine, t.statuses, t.deltas)
+    for i, t in enumerate(transitions):
+        effect = effects[t.statuses, t.deltas]
         problems = []
         if t.state not in states:
             problems.append("unknown source state")
@@ -436,18 +451,18 @@ def rename_states(machine: CounterAutomaton) -> CounterAutomaton:
     """
     names = {machine.initial: "s0"}
     order = [machine.initial]
-    transitions = []
+    transitions, new = [], tuple.__new__
     outgoing = machine.outgoing
     by_key = itemgetter(1, 2)  # (token, statuses)
 
     def emit(state):
         source = names[state]
-        for t in sorted(outgoing.get(state, ()), key=by_key):
-            target = names.get(t.target)
+        for _, token, statuses, reached, move, deltas in sorted(outgoing.get(state, ()), key=by_key):
+            target = names.get(reached)
             if target is None:
-                target = names[t.target] = f"s{len(order)}"
-                order.append(t.target)
-            transitions.append(Transition(source, t.token, t.statuses, target, t.move, t.deltas))
+                target = names[reached] = f"s{len(order)}"
+                order.append(reached)
+            transitions.append(new(Transition, (source, token, statuses, target, move, deltas)))
 
     i = 0
     while i < len(order):

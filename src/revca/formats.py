@@ -86,7 +86,11 @@ def parse_automaton(text: str) -> CounterAutomaton:
 
     Each distinct status and delta field is checked and turned into a tuple
     once, at the first line that holds it, and every later line with the
-    same field shares that tuple.
+    same field shares that tuple.  Only lines that hold a ``#`` are cut at
+    it.  The machine is validated by ``defects_by_transition``, whose
+    whole-table checks answer first; its per-transition pass runs only to
+    explain a failure, and the first transition it blames gives the line
+    number of the error.
     """
     header: _Header = {}
     transitions = []
@@ -94,7 +98,11 @@ def parse_automaton(text: str) -> CounterAutomaton:
     k = None
     status_fields: dict[str, tuple[str, ...]] = {}
     delta_fields: dict[str, tuple[int, ...]] = {}
-    for no, fields in _content_fields(text):
+    new = tuple.__new__
+    for no, raw in enumerate(text.splitlines(), start=1):
+        fields = (raw.partition("#")[0] if "#" in raw else raw).split()
+        if not fields:
+            continue
         tag = fields[0]
         if tag == "t":
             if k is None:
@@ -105,12 +113,13 @@ def parse_automaton(text: str) -> CounterAutomaton:
             statuses = status_fields.get(status)
             if statuses is None:
                 statuses = status_fields[status] = _status_field(no, status, k)
-            if move not in _MOVES:
+            step = _MOVES.get(move)
+            if step is None:
                 raise FormatError(no, f"move {move!r} not in {{0, 1}}")
             ds = delta_fields.get(deltas)
             if ds is None:
                 ds = delta_fields[deltas] = _delta_field(no, deltas, k)
-            transitions.append(Transition(state, token, statuses, target, _MOVES[move], ds))
+            transitions.append(new(Transition, (state, token, statuses, target, step, ds)))
             lines.append(no)
         else:
             header.setdefault(tag, []).append((no, fields[1:]))

@@ -124,30 +124,33 @@ def derive_reverse_any(machine: CounterAutomaton) -> ReversibilityVerdict:
     """``derive_reverse`` without the max_delta guard, so that an extended
     machine's table can be handed to ``normalize_extended(m, reverse=...)``.
 
-    Each entry key is hashed once on the way in, and each new entry's
-    (state, post-statuses) group is checked for one backward move right
-    there; the forward transitions behind the entries are only looked up
-    again to report conflicts.  Each distinct (statuses, deltas) effect is
-    negated and expanded to its post-status vectors once.  The move map of
-    that check stays here: the returned table indexes its own rows when it
-    first steps back, so a derivation that only reports builds no index.
+    Each transition is unpacked once, each entry key is hashed once on the
+    way in, and each new entry's (state, post-statuses) group is checked for
+    one backward move right there; the forward transitions behind the
+    entries are only looked up again to report conflicts.  Each distinct
+    (statuses, deltas) effect is negated and expanded to its post-status
+    vectors once.  The move map of that check stays here: the returned table
+    indexes its own rows when it first steps back, so a derivation that only
+    reports builds no index.
     """
     entries: dict[tuple, ReverseStep] = {}
     moves: dict[tuple, int] = {}  # one backward move per (state, post-statuses)
     preimage_clashes: list[tuple[tuple, Transition]] = []
     move_clashes: list[tuple[tuple, tuple]] = []
     effects: dict[tuple, tuple] = {}  # (statuses, deltas) -> (negated deltas, post statuses)
+    new = tuple.__new__
     for t in machine.transitions:
-        effect = effects.get((t.statuses, t.deltas))
+        state, token, statuses, target, move, deltas = t
+        effect = effects.get((statuses, deltas))
         if effect is None:
-            effect = effects[t.statuses, t.deltas] = (tuple(-d for d in t.deltas), _post_statuses(t))
-        move = -t.move
-        reverse = ReverseStep(t.state, move, effect[0])
+            effect = effects[statuses, deltas] = (tuple(-d for d in deltas), _post_statuses(t))
+        move = -move
+        reverse = new(ReverseStep, (state, move, effect[0]))
         for post in effect[1]:
-            key = (t.target, t.token, post)
+            key = (target, token, post)
             first = entries.setdefault(key, reverse)
             if first is reverse:
-                group = (t.target, post)
+                group = (target, post)
                 if moves.setdefault(group, move) != move:
                     move_clashes.append((group, key))
             elif first != reverse:

@@ -1,11 +1,16 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from revca.cli import main
+from revca.core import CounterAutomaton, Transition, defects_by_transition
 from revca.formats import (
+    _MOVES,
     FormatError,
+    _delta_field,
+    _header,
+    _status_field,
     parse_automaton,
     parse_mcm,
     serialize_automaton,
@@ -257,11 +262,16 @@ def test_cli_malformed_header_exit_2(tmp_path, capsys, suffix, original, old, ne
 
 
 # SHA-256 of `revca check` stdout; the hartmanis entry checks the history
-# acceptor that `revca valc build machines/hartmanis.mcm` writes.
+# acceptor that `revca valc build machines/hartmanis.mcm` writes, the others
+# the shipped machines of that name.
 CHECK_SHA256 = {
+    "balanced3": "5b6b914cd1afc94cc017d3cf17295512299381d01aeea34d1ed3362aff92f983",
     "eq_ab": "631485a6364c3bf0374acb04a84470f56b35d596c8d74c0945424fc7d68ff1ce",
     "hartmanis": "5235754d7e9a79bc0fb48fb882eef4cc4f9dc86865c2bd6703501346f97ea6fb",
+    "regular_witness": "4c229464a5dc33a042543c4453b262dcc6dbbeb79479b78580d88bc276f0db3f",
+    "toy_stationary": "b632783a5cf2042d65009a627fe0d3da63b73cd8ca6a99017978d282ab02030c",
 }
+CHECK_EXIT = {"regular_witness": 1}  # irreversible: the output lists its conflicts
 
 
 @pytest.mark.parametrize("name", sorted(CHECK_SHA256))
@@ -270,15 +280,22 @@ def test_cli_check_output_is_pinned(name, tmp_path, capsys, request):
 
     from revca.cli import _serialize
 
-    if name == "eq_ab":
-        path = MACHINES / "eq_ab.rca"
-    else:
+    if name == "hartmanis":
         prod = request.getfixturevalue("valc_machines")[name][3]
         path = tmp_path / f"{name}.rca"
         path.write_text(_serialize(prod))
-    assert main(["check", str(path)]) == 0
+    else:
+        path = MACHINES / f"{name}.rca"
+    assert main(["check", str(path)]) == CHECK_EXIT.get(name, 0)
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_SHA256[name]
+
+
+def test_cli_check_refuses_an_extended_machine(capsys):
+    assert main(["check", str(MACHINES / "double_step.rca")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_delta 2: normalize extended machines before deriving\n"
 
 
 # SHA-256 of the files that the construction commands write; the same
@@ -386,3 +403,147 @@ def test_parse_reports_first_bad_field_at_its_line(case):
     with pytest.raises(FormatError) as err:
         parse_automaton(text)
     assert str(err.value) == f"line {first[0]}: {first[1]}"
+
+
+def _parse_reference(text):
+    """``parse_automaton`` in its plain form: every line is cut at ``#``,
+    and each transition is built by calling ``Transition``."""
+    header = {}
+    transitions = []
+    lines = []
+    k = None
+    status_fields = {}
+    delta_fields = {}
+    for no, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.partition("#")[0].split()
+        if not fields:
+            continue
+        tag = fields[0]
+        if tag == "t":
+            if k is None:
+                raise FormatError(no, "transition before the counters header")
+            if len(fields) != 8 or fields[4] != "->":
+                raise FormatError(no, "expected: t <state> <token> <status> -> <state> <move> <deltas>")
+            _, state, token, status, _arrow, target, move, deltas = fields
+            statuses = status_fields.get(status)
+            if statuses is None:
+                statuses = status_fields[status] = _status_field(no, status, k)
+            if move not in _MOVES:
+                raise FormatError(no, f"move {move!r} not in {{0, 1}}")
+            ds = delta_fields.get(deltas)
+            if ds is None:
+                ds = delta_fields[deltas] = _delta_field(no, deltas, k)
+            transitions.append(Transition(state, token, statuses, target, _MOVES[move], ds))
+            lines.append(no)
+        else:
+            header.setdefault(tag, []).append((no, fields[1:]))
+            if tag == "counters":
+                _header(header, tag)
+                try:
+                    k = int(fields[1])
+                except (IndexError, ValueError):
+                    raise FormatError(no, "counters line needs an integer")
+
+    no, version = _header(header, "revca-format")
+    if version != ["1"]:
+        raise FormatError(no, f"unsupported format version {version}")
+    if k is None:
+        raise FormatError(0, "missing 'counters' line")
+    max_delta = 1
+    no, md = _header(header, "maxdelta", 1, required=False)
+    if md:
+        try:
+            max_delta = int(md[0])
+        except ValueError:
+            raise FormatError(no, f"maxdelta {md[0]!r} is not an integer")
+    no, alphabet = _header(header, "alphabet")
+    for token in alphabet:
+        if token in ("<", ">"):
+            raise FormatError(no, f"endmarker {token!r} cannot be an alphabet token")
+    machine = CounterAutomaton(
+        states=frozenset(_header(header, "states")[1]),
+        alphabet=frozenset(alphabet),
+        k=k,
+        transitions=tuple(transitions),
+        initial=_header(header, "initial", 1)[1][0],
+        accepting=frozenset(_header(header, "accepting")[1]),
+        max_delta=max_delta,
+    )
+    defects = list(defects_by_transition(machine))
+    if defects:
+        no = next((lines[i] for i, _ in defects if i is not None), 0)
+        raise FormatError(no, "invalid machine: " + "; ".join(message for _, message in defects))
+    return machine
+
+
+def _parse_outcome(parse, text):
+    """The machine and its transitions in order, or the error's type and text."""
+    try:
+        machine = parse(text)
+    except Exception as exc:  # the parser must raise what the reference raises
+        return type(exc), str(exc)
+    return machine, machine.transitions
+
+
+@pytest.fixture(scope="module")
+def construction_texts(tmp_path_factory):
+    """The files that the commands of ``CONSTRUCTION_SHA256`` write."""
+    texts, out = {}, tmp_path_factory.mktemp("constructions")
+    for name, (argv, _) in CONSTRUCTION_SHA256.items():
+        path = out / f"{name}.rca"
+        argv = [str(MACHINES / a) if a.endswith(".rca") else a for a in argv]
+        assert main([*argv, "-o", str(path)]) == 0
+        texts[name] = path.read_text()
+    return texts
+
+
+@pytest.mark.parametrize("name", [*(p.name for p in RCA_FILES), *sorted(CONSTRUCTION_SHA256)])
+def test_parse_matches_reference_on_shipped_and_built_files(name, construction_texts):
+    text = (MACHINES / name).read_text() if name.endswith(".rca") else construction_texts[name]
+    parsed = _parse_outcome(parse_automaton, text)
+    assert parsed == _parse_outcome(_parse_reference, text)
+    assert not isinstance(parsed[0], type)  # every one of these files parses
+
+
+RCA_TEXTS = [path.read_text() for path in RCA_FILES]
+JUNK_FIELDS = ["", "x", "q9", "->", "<", ">", "ZZ", "X", "2", "-1", "1,x", "0,0", "-", "#"]
+
+
+@st.composite
+def edited_rca_texts(draw):
+    """A shipped ``.rca`` text with a few edits: blank or whitespace-only
+    lines put in, spaces turned into tabs or runs, a ``#`` comment at any
+    column, a field replaced, dropped or doubled, or a line repeated."""
+    lines = draw(st.sampled_from(RCA_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        at = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        line = lines[at]
+        edit = draw(st.sampled_from(["blank", "tabs", "comment", "field", "drop", "double", "repeat"]))
+        if edit == "blank":
+            lines.insert(at, draw(st.sampled_from(["", " ", "\t", " \t  ", "#", "  # note"])))
+        elif edit == "tabs":
+            lines[at] = line.replace(" ", draw(st.sampled_from(["\t", "  ", " \t"])))
+        elif edit == "comment":
+            col = draw(st.integers(min_value=0, max_value=len(line)))
+            lines[at] = line[:col] + "#" + draw(st.sampled_from(["", " t q0 < Z", "#x"])) + line[col:]
+        elif edit == "repeat":
+            lines.insert(at, line)
+        elif line.split():
+            fields = line.split()
+            i = draw(st.integers(min_value=0, max_value=len(fields) - 1))
+            if edit == "field":
+                fields[i] = draw(st.sampled_from(JUNK_FIELDS))
+            elif edit == "drop":
+                del fields[i]
+            else:
+                fields.insert(i, fields[i])
+            lines[at] = " ".join(fields)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n", "\r\n"]))
+
+
+@settings(max_examples=300)
+@given(edited_rca_texts())
+def test_parse_matches_reference_on_edited_texts(text):
+    parsed = _parse_outcome(parse_automaton, text)
+    assert parsed == _parse_outcome(_parse_reference, text)
+    event(parsed[1].partition(": ")[2][:24] if isinstance(parsed[0], type) else "parsed")

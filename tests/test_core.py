@@ -9,9 +9,11 @@ from revca.cli import main as cli_main
 from revca.constructions import normalize_extended, product_intersection
 from revca.core import (
     Configuration,
+    CounterAutomaton,
     InvalidConfigurationError,
     InvalidTransitionEffectError,
     NegativeCounterError,
+    Transition,
     UnknownTokenError,
     Verdict,
     all_words,
@@ -69,6 +71,25 @@ def test_validate_nondeterministic_key():
     )
     defects = validate(m)
     assert sum("nondeterministic key" in d for d in defects) == 1
+
+
+@pytest.mark.parametrize("same_object", [True, False], ids=["one-object", "equal-objects"])
+def test_validate_catches_a_transition_listed_twice(same_object):
+    """A repeat check that keys on object identity would let one object
+    listed twice through; ``make_automaton`` never hands out the same object
+    twice, so this builds the machine directly."""
+    t = Transition("q", "a", ("Z",), "q", 1, (0,))
+    twin = t if same_object else Transition(*t)
+    m = CounterAutomaton(
+        states=frozenset({"q"}),
+        alphabet=frozenset({"a"}),
+        k=1,
+        transitions=(t, twin),
+        initial="q",
+        accepting=frozenset(),
+    )
+    assert validate(m) == ["transition 'q'/'a'/Z: duplicate transition"]
+    assert not m._clean
 
 
 def test_validate_right_end_move():

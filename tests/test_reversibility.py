@@ -2,7 +2,7 @@ from itertools import product
 from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from revca.core import (
     LEFT_END,
@@ -18,11 +18,15 @@ from revca.core import (
     validate,
 )
 from revca.reversibility import (
+    Conflict,
     ExtendedDeltaError,
+    ReversibilityVerdict,
     ReverseStep,
     ReverseTable,
+    _post_statuses,
     check_quasi_realtime,
     derive_reverse,
+    derive_reverse_any,
     feasible_post_statuses,
     roundtrip_word,
     step_back,
@@ -390,3 +394,81 @@ def test_step_back_matches_reference(rng):
         configurations.append(Configuration(rng.choice(states), word, head, counters))
     for cfg in configurations:
         assert _outcome(step_back, machine, table, cfg) == _outcome(_step_back_reference, machine, table, cfg)
+
+
+def _derive_reverse_reference(machine):
+    """``derive_reverse_any`` with attribute reads and a ``ReverseStep(...)``
+    call per transition, the plain form of its loop."""
+    entries = {}
+    moves = {}
+    preimage_clashes = []
+    move_clashes = []
+    effects = {}
+    for t in machine.transitions:
+        effect = effects.get((t.statuses, t.deltas))
+        if effect is None:
+            effect = effects[t.statuses, t.deltas] = (tuple(-d for d in t.deltas), _post_statuses(t))
+        move = -t.move
+        reverse = ReverseStep(t.state, move, effect[0])
+        for post in effect[1]:
+            key = (t.target, t.token, post)
+            first = entries.setdefault(key, reverse)
+            if first is reverse:
+                group = (t.target, post)
+                if moves.setdefault(group, move) != move:
+                    move_clashes.append((group, key))
+            elif first != reverse:
+                preimage_clashes.append((key, t))
+    if not (preimage_clashes or move_clashes):
+        return ReversibilityVerdict(ReverseTable(entries))
+    origin = {}
+    for t in machine.transitions:
+        for post in _post_statuses(t):
+            origin.setdefault((t.target, t.token, post), t)
+    group_first = {}
+    for key in entries:
+        group_first.setdefault((key[0], key[2]), key)
+    conflicts = [Conflict("preimage", key, origin[key], t) for key, t in preimage_clashes]
+    conflicts += [
+        Conflict("move", group, origin[group_first[group]], origin[key]) for group, key in move_clashes
+    ]
+    return ReversibilityVerdict(None, conflicts)
+
+
+@st.composite
+def clashing_machines(draw):
+    """Machines on three states and few keys, so that two transitions often
+    land on one backward key (a preimage conflict) or one (state, statuses)
+    group with two moves (a move conflict); repeated and extended rows too."""
+    k = draw(st.integers(min_value=0, max_value=2))
+    statuses = st.tuples(*[st.sampled_from("ZP")] * k)
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from("pqr"),
+                st.sampled_from(["<", "a", "b", ">"]),
+                statuses,
+                st.sampled_from("pqr"),
+                st.integers(min_value=0, max_value=1),
+                st.tuples(*[st.integers(min_value=-2, max_value=2)] * k),
+            ),
+            max_size=12,
+        )
+    )
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
+    return make_automaton(rows, initial="p", accepting="r", k=k, states="pqr", max_delta=2)
+
+
+def _verdict_fields(verdict):
+    entries = list(verdict.table.entries.items()) if verdict.reversible else None
+    conflicts = [(c.kind, c.key, c.first, c.second) for c in verdict.conflicts]
+    return verdict.reversible, entries, conflicts
+
+
+@settings(max_examples=300)
+@given(clashing_machines())
+def test_derive_reverse_matches_reference(machine):
+    verdict = derive_reverse_any(machine)
+    assert _verdict_fields(verdict) == _verdict_fields(_derive_reverse_reference(machine))
+    kinds = {c.kind for c in verdict.conflicts}
+    event("reversible" if verdict.reversible else " and ".join(sorted(kinds)) + " conflicts")
