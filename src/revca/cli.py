@@ -145,17 +145,20 @@ def cmd_product(args) -> int:
     return 0
 
 
+_EXAMPLES = {  # the builder of a name ending in ":K" takes the integer K
+    "eq-ab": witnesses.build_eq_ab,
+    "balanced-k:K": witnesses.build_balanced,
+    "regular-witness": witnesses.build_regular_witness,
+}
+
+
 def cmd_example(args) -> int:
-    name = args.name
-    if name == "eq-ab":
-        machine = witnesses.build_eq_ab()
-    elif name == "regular-witness":
-        machine = witnesses.build_regular_witness()
-    elif name.startswith("balanced-k:"):
-        machine = witnesses.build_balanced(int(name.split(":", 1)[1]))
-    else:
-        print(f"unknown example {name!r}", file=sys.stderr)
+    name, colon, k = args.name.partition(":")
+    build = _EXAMPLES.get(f"{name}:K" if colon else name)
+    if build is None:
+        print(f"unknown example {args.name!r}", file=sys.stderr)
         return 2
+    machine = build(int(k)) if colon else build()
     if args.output:
         _write_automaton(machine, args.output)
     else:
@@ -189,15 +192,11 @@ def cmd_valc_encode(args) -> int:
     return 0
 
 
+_VALC_PARTS = {"1": valc.build_valc1, "2": valc.build_valc2, "both": valc.build_valc}
+
+
 def cmd_valc_build(args) -> int:
-    machine = _load_mcm(args.file)
-    if args.part == "1":
-        built = valc.build_valc1(machine)
-    elif args.part == "2":
-        built = valc.build_valc2(machine)
-    else:
-        built = valc.build_valc(machine)
-    _write_automaton(built, args.output)
+    _write_automaton(_VALC_PARTS[args.part](_load_mcm(args.file)), args.output)
     return 0
 
 
@@ -240,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("example", help="emit a built-in machine")
-    p.add_argument("name", help="eq-ab | balanced-k:K | regular-witness")
+    p.add_argument("name", help=" | ".join(_EXAMPLES))
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_example)
 
@@ -277,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_valc_encode)
     p = vv.add_parser("build", help="build history acceptors")
     p.add_argument("file")
-    p.add_argument("--part", choices=["1", "2", "both"], default="both")
+    p.add_argument("--part", choices=_VALC_PARTS, default="both")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_valc_build)
 

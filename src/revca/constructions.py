@@ -20,8 +20,9 @@ from its initial one:
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cache, partial
 from itertools import product as iproduct
-from operator import add
+from operator import add, sub
 from typing import Optional
 
 from .core import (
@@ -114,15 +115,12 @@ def normalize_extended(
     if defects:
         raise MachineError("normalize_extended needs a clean machine: " + "; ".join(defects))
     c, k = machine.max_delta, machine.k
-    memo: dict[tuple, tuple] = {}  # (residues, statuses, deltas) -> _carry rows
+    kernel = cache(partial(_carry, c=c))  # (residues, statuses, deltas) -> _carry rows
 
     def rows(source):
         state, residues = source
         for t in machine.outgoing.get(state, ()):
-            carried = memo.get((residues, t.statuses, t.deltas))
-            if carried is None:
-                carried = memo[residues, t.statuses, t.deltas] = _carry(residues, t.statuses, t.deltas, c)
-            for statuses, new_res, carries in carried:
+            for statuses, new_res, carries in kernel(residues, t.statuses, t.deltas):
                 yield t.token, statuses, (t.target, new_res), t.move, carries
 
     out = _reachable_machine(
@@ -131,19 +129,16 @@ def normalize_extended(
     )
     if reverse is None:
         return out
-    return out, _normalize_reverse(reverse, c, k, memo)
+    return out, _normalize_reverse(reverse, c, k, kernel)
 
 
-def _normalize_reverse(reverse: ReverseTable, c: int, k: int, memo: dict) -> ReverseTable:
+def _normalize_reverse(reverse: ReverseTable, c: int, k: int, kernel) -> ReverseTable:
     """Mirror the normalization on a reverse table over every residue vector,
     sharing the machine's kernel memo (both use modulus ``c``)."""
     entries = {}
     for residues in iproduct(range(c), repeat=k):
         for (state, token, post), out in reverse.entries.items():
-            carried = memo.get((residues, post, out.deltas))
-            if carried is None:
-                carried = memo[residues, post, out.deltas] = _carry(residues, post, out.deltas, c)
-            for statuses, new_res, carries in carried:
+            for statuses, new_res, carries in kernel(residues, post, out.deltas):
                 entries[(state, residues), token, statuses] = ReverseStep((out.target, new_res), out.move, carries)
     return ReverseTable(entries)
 
@@ -233,17 +228,15 @@ def _macro_step(norm, state, token, statuses, ell):
     ``statuses`` as given.
     """
     table = norm.table
-    counters = tuple(1 if s == POSITIVE else 0 for s in statuses)
-    total = (0,) * len(counters)
+    counters = start = tuple(1 if s == POSITIVE else 0 for s in statuses)
     current = state
     stationary = 0
     t = table.get((current, token, statuses))
     while t is not None:
         counters = tuple(map(add, counters, t.deltas))
-        total = tuple(map(add, total, t.deltas))
         current = t.target
         if t.move == 1:
-            return current, 1, total
+            return current, 1, tuple(map(sub, counters, start))
         stationary += 1
         if stationary > ell:
             raise NotQuasiRealtimeError(
@@ -251,7 +244,7 @@ def _macro_step(norm, state, token, statuses, ell):
                 f"({state!r}, {token!r}, {''.join(statuses)})"
             )
         t = table.get((current, token, status_of(counters)))
-    return current, 0, total
+    return current, 0, tuple(map(sub, counters, start))
 
 
 def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterAutomaton:
@@ -276,14 +269,14 @@ def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterA
         )
     _check_accepts_at_end(m1)
     _check_accepts_at_end(m2)
-    by_token2: dict[tuple, list[Transition]] = {}
-    for t in m2.transitions:
-        by_token2.setdefault((t.state, t.token), []).append(t)
 
     def rows(pair):
         state1, state2 = pair
+        outgoing2 = m2.outgoing.get(state2, ())
         for t1 in m1.outgoing.get(state1, ()):
-            for t2 in by_token2.get((state2, t1.token), ()):
+            for t2 in outgoing2:
+                if t2.token != t1.token:
+                    continue
                 if t1.move != t2.move:
                     raise MoveDisagreementError(t1, t2)
                 yield t1.token, t1.statuses + t2.statuses, (t1.target, t2.target), t1.move, t1.deltas + t2.deltas

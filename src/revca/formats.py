@@ -124,7 +124,8 @@ def parse_automaton(text: str) -> CounterAutomaton:
         else:
             header.setdefault(tag, []).append((no, fields[1:]))
             if tag == "counters":
-                _header(header, tag)  # reject a repeat before it re-keys later lines
+                # reject a repeat before it re-keys later lines, and values past the first
+                _header(header, tag, 1 if len(fields) > 1 else None)
                 try:
                     k = int(fields[1])
                 except (IndexError, ValueError):

@@ -9,8 +9,9 @@ read, so backward entries are keyed on the token the forward step consumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from operator import add
+from functools import cached_property
+from itertools import groupby, islice, product
+from operator import add, attrgetter
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -52,18 +53,18 @@ class ReverseTable:
     """
 
     entries: dict[tuple, ReverseStep] = field(default_factory=dict)
-    _rows: dict[tuple, list] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _index(self) -> dict[tuple, list]:
-        if not self._rows:
-            for (state, token, statuses), out in self.entries.items():
-                row = self._rows.setdefault((state, statuses), [out.move, {}])
-                row[0] = out.move
-                row[1][token] = out
-        return self._rows
+    @cached_property
+    def _rows(self) -> dict[tuple, list]:
+        rows: dict[tuple, list] = {}
+        for (state, token, statuses), out in self.entries.items():
+            row = rows.setdefault((state, statuses), [out.move, {}])
+            row[0] = out.move
+            row[1][token] = out
+        return rows
 
     def move_for(self, state, statuses: StatusVector) -> Optional[int]:
-        row = self._index().get((state, statuses))
+        row = self._rows.get((state, statuses))
         return None if row is None else row[0]
 
 
@@ -92,9 +93,7 @@ def feasible_post_statuses(status: str, delta: int) -> tuple[str, ...]:
         if delta < 0:
             return ()
         return (ZERO,) if delta == 0 else (POSITIVE,)
-    if delta > 0:
-        return (POSITIVE,)
-    if delta == 0:
+    if delta >= 0:
         return (POSITIVE,)
     return (ZERO, POSITIVE)
 
@@ -189,7 +188,7 @@ def step_back(
     """
     state, word, head, counters = cfg
     right = len(word) + 1
-    row = (table._rows or table._index()).get(
+    row = table._rows.get(
         (state, tuple([POSITIVE if c > 0 else ZERO if c == 0 else _NEGATIVE for c in counters]))
     )
     if row is not None and len(counters) == machine.k and 0 <= head <= right:
@@ -333,23 +332,12 @@ def check_quasi_realtime(
     advisories = _stationary_cycles(machine)
     for word in all_words(machine.alphabet, max_len):
         outcome = run(machine, word, fuel, trace=True)
-        if not outcome.accepted:
-            continue
-        trace = outcome.trace or []
-        streak_start = 0
-        streak = 0
-        for i in range(1, len(trace)):
-            if trace[i].head == trace[i - 1].head:
-                if streak == 0:
-                    streak_start = i - 1
-                streak += 1
-                if streak > ell:
-                    fragment = trace[streak_start : i + 1]
-                    return QuasiRealtimeReport(
-                        False, StationaryWitness(tuple(word), fragment), advisories
-                    )
-            else:
-                streak = 0
+        if outcome.accepted:
+            # a stationary streak is a run of configurations on one cell
+            for _, cell in groupby(outcome.trace or [], key=attrgetter("head")):
+                fragment = list(islice(cell, ell + 2))
+                if len(fragment) > ell + 1:
+                    return QuasiRealtimeReport(False, StationaryWitness(tuple(word), fragment), advisories)
     return QuasiRealtimeReport(True, None, advisories)
 
 
@@ -363,31 +351,27 @@ def _stationary_cycles(machine: CounterAutomaton) -> list[str]:
             if nxt in keys:
                 edges.setdefault(t.key, []).append(nxt)
     advisories = []
-    # iterative DFS over the stationary-step graph
+    # iterative DFS over the stationary-step graph; the stack holds the current path
     color: dict[tuple, int] = {}
     for start in sorted(edges, key=repr):
         if color.get(start):
             continue
         stack = [(start, iter(edges.get(start, ())))]
         color[start] = 1
-        path = [start]
         while stack:
             node, it = stack[-1]
-            advanced = False
             for nxt in it:
                 if color.get(nxt) == 1:
+                    path = [key for key, _ in stack]
                     cycle = path[path.index(nxt) :] + [nxt]
                     advisories.append(
                         "stationary cycle: " + " -> ".join(repr(k) for k in cycle)
                     )
                 elif not color.get(nxt):
                     color[nxt] = 1
-                    path.append(nxt)
                     stack.append((nxt, iter(edges.get(nxt, ()))))
-                    advanced = True
                     break
-            if not advanced:
+            else:
                 color[node] = 2
-                path.pop()
                 stack.pop()
     return advisories

@@ -21,11 +21,9 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional
 
-from .core import CounterAutomaton, MachineError, _reachable_machine
+from .core import CounterAutomaton, MachineError, POSITIVE as P, ZERO as Z, _reachable_machine
 from .constructions import product_intersection, speedup
 from .mcm import McmStatus, MultCounterMachine, mcm_run
-
-Z, P = "Z", "P"
 
 STATIONARY_BUDGET = 6  # 1/7 blocks need six stationary moves per letter
 

@@ -13,7 +13,7 @@ import re
 from dataclasses import replace
 from functools import reduce
 
-from .core import CounterAutomaton, MachineError, make_automaton
+from .core import CounterAutomaton, MachineError, POSITIVE, ZERO, make_automaton
 from .constructions import product_intersection
 
 BARRED = {"A": "a", "B": "b"}
@@ -182,24 +182,23 @@ def build_balance_factor(alphabet: str, other: str) -> CounterAutomaton:
     ignored."""
     first = alphabet[0]
     ignored = [ch for ch in alphabet if ch not in (first, other)]
-    Z, P = "Z", "P"
     transitions = [
-        ("q0", "<", Z, "q1", 1, (0,)),        # (1)
-        ("q1", first, Z, "qa", 1, (0,)),      # (2)
-        ("q1", other, Z, "qb", 1, (0,)),      # (3)
-        ("q1", ">", Z, "qf", 0, (0,)),        # (4)
-        ("qa", first, Z, "qa", 1, (1,)),      # (5)
-        ("qa", other, Z, "q1", 1, (0,)),      # (6)
-        ("qa", first, P, "qa", 1, (1,)),      # (7)
-        ("qa", other, P, "qa", 1, (-1,)),     # (8)
-        ("qb", first, Z, "q1", 1, (0,)),      # (9)
-        ("qb", other, Z, "qb", 1, (1,)),      # (10)
-        ("qb", first, P, "qb", 1, (-1,)),     # (11)
-        ("qb", other, P, "qb", 1, (1,)),      # (12)
+        ("q0", "<", ZERO, "q1", 1, (0,)),         # (1)
+        ("q1", first, ZERO, "qa", 1, (0,)),       # (2)
+        ("q1", other, ZERO, "qb", 1, (0,)),       # (3)
+        ("q1", ">", ZERO, "qf", 0, (0,)),         # (4)
+        ("qa", first, ZERO, "qa", 1, (1,)),       # (5)
+        ("qa", other, ZERO, "q1", 1, (0,)),       # (6)
+        ("qa", first, POSITIVE, "qa", 1, (1,)),   # (7)
+        ("qa", other, POSITIVE, "qa", 1, (-1,)),  # (8)
+        ("qb", first, ZERO, "q1", 1, (0,)),       # (9)
+        ("qb", other, ZERO, "qb", 1, (1,)),       # (10)
+        ("qb", first, POSITIVE, "qb", 1, (-1,)),  # (11)
+        ("qb", other, POSITIVE, "qb", 1, (1,)),   # (12)
     ]
     for state in ("q1", "qa", "qb"):
         for ch in ignored:
-            for status in (Z, P):
+            for status in (ZERO, POSITIVE):
                 transitions.append((state, ch, status, state, 1, (0,)))
     return make_automaton(
         transitions,

@@ -243,12 +243,14 @@ DOUBLE_TEXT = (MACHINES / "double.mcm").read_text()
         (".mcm", DOUBLE_TEXT, "final qf\n", "final\n", 4),
         (".mcm", DOUBLE_TEXT, "mcm-format 1\n", "mcm-format\n", 1),
         (".rca", EQ_AB_TEXT, "counters 1\n", "counters 1\ncounters 0\n", 3),
+        (".rca", EQ_AB_TEXT, "counters 1\n", "counters 1 2\n", 2),
         (".mcm", DOUBLE_TEXT, "r q0 2 qf qf\n", "r q0 1/0 qf qf\n", 5),
         (".rca", EQ_AB_TEXT, "t q1 a Z -> qa 1 0\n", "t q1 a Z -> qz 1 0\n", 8),
         (".mcm", DOUBLE_TEXT, "r q0 2 qf qf\n", "r q0 3/2 qf qf\n", 5),
     ],
     ids=["maxdelta-empty", "maxdelta-not-int", "initial-empty", "version-empty",
          "mcm-initial-empty", "mcm-final-empty", "mcm-version-empty", "counters-repeated",
+         "counters-extra-value",
          "mcm-zero-denominator", "transition-unknown-target", "mcm-rule-outside-stock"],
 )
 def test_cli_malformed_header_exit_2(tmp_path, capsys, suffix, original, old, new, line):
@@ -438,7 +440,7 @@ def _parse_reference(text):
         else:
             header.setdefault(tag, []).append((no, fields[1:]))
             if tag == "counters":
-                _header(header, tag)
+                _header(header, tag, 1 if len(fields) > 1 else None)
                 try:
                     k = int(fields[1])
                 except (IndexError, ValueError):

@@ -24,6 +24,7 @@ from revca.formats import parse_automaton
 from revca.mcm import hartmanis_example
 from revca.reversibility import (
     ReverseStep,
+    check_quasi_realtime,
     derive_reverse,
     derive_reverse_any,
     step_back,
@@ -698,3 +699,57 @@ def test_constructed_machines_share_their_state_objects(valc_machines):
         for t in m.transitions:
             shared += (t.state, t.target)
         assert all(canon[s] is s for s in shared), m.name
+
+
+# The constructions' open defects, each stated as the property it breaks on
+# the smallest machine known to break it (ROADMAP item 1).  A fix turns its
+# test into an unexpected pass, which fails until the mark is removed.
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="speedup can lose reversibility")
+def test_speedup_keeps_a_reversible_source_reversible():
+    m = make_automaton(
+        [
+            ("s2", "a", "Z", "s0", 0, (1,)),
+            ("s0", "<", "Z", "s0", 0, (1,)),
+            ("s0", "<", "P", "s2", 0, (-1,)),
+        ],
+        initial="s0", accepting=["s0", "s1", "s2", "s3"], k=1, alphabet={"a", "b"},
+        states=["s0", "s1", "s2", "s3"],
+    )
+    assert derive_reverse(m).reversible
+    assert check_quasi_realtime(m, 2, 6).ok
+    # two halting macro-steps, from s0 at residues 0 and 1, land on one target
+    assert derive_reverse(speedup(m, 2)).reversible
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="the product loses words its factors halt on '>' at different times"
+)
+def test_product_accepts_when_factors_halt_on_the_right_endmarker_out_of_step():
+    u = make_automaton(
+        [("u0", "<", "", "u", 1, ()), ("u", "a", "", "u", 1, ())],
+        initial="u0", accepting=["u"], k=0, alphabet={"a"},
+    )
+    v = make_automaton(
+        [("v0", "<", "", "v", 1, ()), ("v", "a", "", "v", 1, ()), ("v", ">", "", "vacc", 0, ())],
+        initial="v0", accepting=["vacc"], k=0, alphabet={"a"},
+    )
+    both = product_intersection(u, v)
+    for word in ("", "a", "aa"):
+        assert run(u, word, 50).accepted and run(v, word, 50).accepted
+        assert run(both, word, 50).accepted, word
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="normalize_extended accepts where run diagnoses an underflow"
+)
+def test_normalize_and_speedup_keep_a_diagnosed_reject():
+    m = make_automaton(
+        [("q0", "<", "Z", "q1", 1, (1,)), ("q1", ">", "P", "q2", 0, (-2,))],
+        initial="q0", accepting=["q1"], k=1, alphabet={"a"}, max_delta=2,
+    )
+    source = run(m, "", 50)
+    assert not source.accepted and source.diagnostic is not None
+    assert not run(normalize_extended(m), "", 50).accepted
+    assert not run(speedup(m, 1), "", 50).accepted

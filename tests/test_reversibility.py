@@ -1,3 +1,4 @@
+import random
 from itertools import product
 from operator import add
 
@@ -20,9 +21,11 @@ from revca.core import (
 from revca.reversibility import (
     Conflict,
     ExtendedDeltaError,
+    QuasiRealtimeReport,
     ReversibilityVerdict,
     ReverseStep,
     ReverseTable,
+    StationaryWitness,
     _post_statuses,
     check_quasi_realtime,
     derive_reverse,
@@ -35,6 +38,7 @@ from revca.reversibility import (
 from revca.witnesses import build_balanced, build_eq_ab, build_regular_witness
 
 from conftest import toy_stationary_counter
+from test_constructions import random_extended_machine
 
 # The hand-checked backward table for the balance checker: exactly twelve
 # entries.  A key (q1, >, Z) would have no forward pre-image under
@@ -472,3 +476,113 @@ def test_derive_reverse_matches_reference(machine):
     assert _verdict_fields(verdict) == _verdict_fields(_derive_reverse_reference(machine))
     kinds = {c.kind for c in verdict.conflicts}
     event("reversible" if verdict.reversible else " and ".join(sorted(kinds)) + " conflicts")
+
+
+def _stationary_cycles_reference(machine):
+    """The stationary-cycle scan with the DFS path kept as its own list."""
+    stationary = [t for t in machine.transitions if t.move == 0]
+    edges = {}
+    keys = {t.key for t in stationary}
+    for t in stationary:
+        for post in _post_statuses(t):
+            nxt = (t.target, t.token, post)
+            if nxt in keys:
+                edges.setdefault(t.key, []).append(nxt)
+    advisories = []
+    color = {}
+    for start in sorted(edges, key=repr):
+        if color.get(start):
+            continue
+        stack = [(start, iter(edges.get(start, ())))]
+        color[start] = 1
+        path = [start]
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if color.get(nxt) == 1:
+                    cycle = path[path.index(nxt) :] + [nxt]
+                    advisories.append("stationary cycle: " + " -> ".join(repr(k) for k in cycle))
+                elif not color.get(nxt):
+                    color[nxt] = 1
+                    path.append(nxt)
+                    stack.append((nxt, iter(edges.get(nxt, ()))))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = 2
+                path.pop()
+                stack.pop()
+    return advisories
+
+
+def _quasi_realtime_reference(machine, ell, max_len, fuel=10_000):
+    """The stationary-streak check with the streak and its start counted by
+    hand along each accepted run."""
+    if ell < 0:
+        raise ValueError("ell must be non-negative")
+    if max_len < 0:
+        raise ValueError("max_len must be non-negative")
+    advisories = _stationary_cycles_reference(machine)
+    for word in all_words(machine.alphabet, max_len):
+        outcome = run(machine, word, fuel, trace=True)
+        if not outcome.accepted:
+            continue
+        trace = outcome.trace or []
+        streak_start = 0
+        streak = 0
+        for i in range(1, len(trace)):
+            if trace[i].head == trace[i - 1].head:
+                if streak == 0:
+                    streak_start = i - 1
+                streak += 1
+                if streak > ell:
+                    fragment = trace[streak_start : i + 1]
+                    return QuasiRealtimeReport(False, StationaryWitness(tuple(word), fragment), advisories)
+            else:
+                streak = 0
+    return QuasiRealtimeReport(True, None, advisories)
+
+
+def test_check_quasi_realtime_matches_streak_reference():
+    # extended machines, valid or not, and the round-trip cases, whose risky
+    # machines move left, leave their states or underflow; a fuel of at most
+    # 100 keeps the runs that never halt short
+    rng = random.Random(1515)
+    verdicts = set()
+    for n in range(600):
+        if n % 2:
+            machine, _, max_len, fuel = _roundtrip_case(rng)
+            fuel = min(fuel, 100)
+        else:
+            machine, max_len, fuel = random_extended_machine(rng), rng.randint(0, 5), rng.choice([3, 10, 100])
+        ell = rng.randint(0, 3)
+        expected = _outcome(_quasi_realtime_reference, machine, ell, max_len, fuel)
+        assert _outcome(check_quasi_realtime, machine, ell, max_len, fuel) == expected, (machine, ell)
+        verdicts.add(expected.ok if isinstance(expected, QuasiRealtimeReport) else "raises")
+    assert verdicts == {True, False, "raises"}
+
+
+def test_stationary_cycle_advisories_are_pinned():
+    # (p, a, P) starts two cycles, one through each status that its decrement
+    # can leave; (r, a, Z) runs into them, and t, u and w, which nothing
+    # reaches from p, hold a third cycle behind a tail
+    m = make_automaton(
+        [
+            ("p", "a", "P", "q", 0, (-1,)),
+            ("q", "a", "Z", "p", 0, (1,)),
+            ("q", "a", "P", "p", 0, (0,)),
+            ("r", "a", "Z", "p", 0, (1,)),
+            ("t", "b", "Z", "u", 0, (0,)),
+            ("u", "b", "Z", "w", 0, (0,)),
+            ("w", "b", "Z", "u", 0, (0,)),
+        ],
+        initial="p", accepting=[], k=1, alphabet={"a", "b"},
+    )
+    advisories = check_quasi_realtime(m, 1, 2).advisories
+    assert advisories == _stationary_cycles_reference(m)
+    assert advisories == [
+        "stationary cycle: ('p', 'a', ('P',)) -> ('q', 'a', ('Z',)) -> ('p', 'a', ('P',))",
+        "stationary cycle: ('p', 'a', ('P',)) -> ('q', 'a', ('P',)) -> ('p', 'a', ('P',))",
+        "stationary cycle: ('u', 'b', ('Z',)) -> ('w', 'b', ('Z',)) -> ('u', 'b', ('Z',))",
+    ]
