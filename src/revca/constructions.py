@@ -37,7 +37,7 @@ from .core import (
     status_of,
     validate,
 )
-from .reversibility import ReverseStep, ReverseTable
+from .reversibility import ReverseStep, ReverseTable, _stationary_scan
 
 
 class NotQuasiRealtimeError(MachineError):
@@ -171,13 +171,16 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
     """Build an equivalent machine whose accepted runs take at most |w| + 2 steps.
 
     The input must never do more than ``ell`` consecutive stationary moves in
-    an accepting computation.  Stage one normalizes with c = (ell + 1) * D,
-    for the input's ``max_delta`` D, whose residue components give every
-    state exact knowledge of counter values below c; stage two replays, from
-    every key of the normalized table at a state that the initial state or a
-    macro-step reaches, the maximal stationary run plus one moving step and
-    emits it as a single transition (a halting run stays stationary and is
-    emitted with the deltas gathered so far).
+    an accepting computation.  When its stationary transitions form no cycle,
+    ``ell`` is first tightened to the bound of that graph, which no run
+    exceeds; an ordinary input is returned as is when ``ell`` is then 0.
+    Stage one normalizes with c = (ell + 1) * D, for the input's
+    ``max_delta`` D, whose residue components give every state exact
+    knowledge of counter values below c; stage two replays, from every key of
+    the normalized table at a state that the initial state or a macro-step
+    reaches, the maximal stationary run plus one moving step and emits it as
+    a single transition (a halting run stays stationary and is emitted with
+    the deltas gathered so far).
 
     A macro-step spans at most ell + 1 unit steps, so it changes a source
     counter by some S in [-c, c], and its stored value by floor((r + S) / c)
@@ -196,7 +199,9 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
     defects = validate(machine)
     if defects:
         raise MachineError("speedup needs a clean machine: " + "; ".join(defects))
-    if ell == 0:
+    bound = _stationary_scan(machine)[1]
+    ell = ell if bound is None else min(ell, bound)
+    if ell == 0 and machine.max_delta == 1:
         return machine
     c = (ell + 1) * machine.max_delta
     # normalize_extended takes its residue modulus c from max_delta

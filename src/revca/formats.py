@@ -59,6 +59,8 @@ def _header(header: _Header, tag: str, count: int | None = None, required: bool 
 
 
 _MOVES = {"0": 0, "1": 1}
+_RCA_TAGS = frozenset({"revca-format", "counters", "maxdelta", "alphabet", "states", "initial", "accepting"})
+_MCM_TAGS = frozenset({"mcm-format", "states", "initial", "final"})
 
 
 def _status_field(no: int, status: str, k: int) -> tuple[str, ...]:
@@ -121,6 +123,8 @@ def parse_automaton(text: str) -> CounterAutomaton:
                 ds = delta_fields[deltas] = _delta_field(no, deltas, k)
             transitions.append(new(Transition, (state, token, statuses, target, step, ds)))
             lines.append(no)
+        elif tag not in _RCA_TAGS:
+            raise FormatError(no, f"unknown line tag {tag!r}")
         else:
             header.setdefault(tag, []).append((no, fields[1:]))
             if tag == "counters":
@@ -215,6 +219,8 @@ def parse_mcm(text: str) -> MultCounterMachine:
                 raise FormatError(no, f"bad multiplicand {mult!r}")
             rules.append((q, m, p, rr))
             lines[McmRule(q, m, p, rr)] = no
+        elif fields[0] not in _MCM_TAGS:
+            raise FormatError(no, f"unknown line tag {fields[0]!r}")
         else:
             header.setdefault(fields[0], []).append((no, fields[1:]))
 

@@ -321,15 +321,17 @@ def check_quasi_realtime(
 ) -> QuasiRealtimeReport:
     """Bound consecutive stationary moves on accepted inputs up to max_len.
 
-    Also statically scans stationary transitions for cycles over
-    (state, token, statuses) keys, reporting each as an advisory: such a cycle
-    can loop forever without consuming input, though it may be unreachable.
+    Also statically scans stationary transitions over (state, token,
+    statuses) keys, reporting one advisory per back edge of its DFS: a cycle
+    can loop forever without consuming input, though it may be unreachable,
+    and two cycles that close on one back edge get one advisory.  The same
+    scan gives ``speedup`` its bound when there is no cycle.
     """
     if ell < 0:
         raise ValueError("ell must be non-negative")
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    advisories = _stationary_cycles(machine)
+    advisories = _stationary_scan(machine)[0]
     for word in all_words(machine.alphabet, max_len):
         outcome = run(machine, word, fuel, trace=True)
         if outcome.accepted:
@@ -341,7 +343,10 @@ def check_quasi_realtime(
     return QuasiRealtimeReport(True, None, advisories)
 
 
-def _stationary_cycles(machine: CounterAutomaton) -> list[str]:
+def _stationary_scan(machine: CounterAutomaton) -> tuple[list[str], Optional[int]]:
+    """(advisories, bound) from one DFS over the stationary keys, with edges
+    through ``_post_statuses``: an advisory per back edge, and with none, the
+    most keys on a path, which no stationary streak exceeds; else None."""
     stationary = [t for t in machine.transitions if t.move == 0]
     edges: dict[tuple, list[tuple]] = {}
     keys = {t.key for t in stationary}
@@ -353,7 +358,8 @@ def _stationary_cycles(machine: CounterAutomaton) -> list[str]:
     advisories = []
     # iterative DFS over the stationary-step graph; the stack holds the current path
     color: dict[tuple, int] = {}
-    for start in sorted(edges, key=repr):
+    depth: dict[tuple, int] = {}  # keys on the longest path from a finished key
+    for start in sorted(keys, key=repr):
         if color.get(start):
             continue
         stack = [(start, iter(edges.get(start, ())))]
@@ -373,5 +379,6 @@ def _stationary_cycles(machine: CounterAutomaton) -> list[str]:
                     break
             else:
                 color[node] = 2
+                depth[node] = 1 + max((depth.get(n, 0) for n in edges.get(node, ())), default=0)
                 stack.pop()
-    return advisories
+    return advisories, None if advisories else max(depth.values(), default=0)

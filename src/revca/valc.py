@@ -25,7 +25,7 @@ from .core import CounterAutomaton, MachineError, POSITIVE as P, ZERO as Z, _rea
 from .constructions import product_intersection, speedup
 from .mcm import McmStatus, MultCounterMachine, mcm_run
 
-STATIONARY_BUDGET = 6  # 1/7 blocks need six stationary moves per letter
+STATIONARY_BUDGET = 6  # an upper bound over the stock (1/7 needs six); speedup tightens it per half
 
 LETTER = "a"
 MARKED = "a'"

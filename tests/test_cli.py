@@ -247,11 +247,15 @@ DOUBLE_TEXT = (MACHINES / "double.mcm").read_text()
         (".mcm", DOUBLE_TEXT, "r q0 2 qf qf\n", "r q0 1/0 qf qf\n", 5),
         (".rca", EQ_AB_TEXT, "t q1 a Z -> qa 1 0\n", "t q1 a Z -> qz 1 0\n", 8),
         (".mcm", DOUBLE_TEXT, "r q0 2 qf qf\n", "r q0 3/2 qf qf\n", 5),
+        (".rca", EQ_AB_TEXT, "accepting qf\n", "accepting qf\nacepting q0\n", 7),
+        (".rca", EQ_AB_TEXT, "t q0 < Z -> q1 1 0\n", "x q0 < Z -> q1 1 0\n", 7),
+        (".mcm", DOUBLE_TEXT, "final qf\n", "final qf\nfinall qx\n", 5),
     ],
     ids=["maxdelta-empty", "maxdelta-not-int", "initial-empty", "version-empty",
          "mcm-initial-empty", "mcm-final-empty", "mcm-version-empty", "counters-repeated",
          "counters-extra-value",
-         "mcm-zero-denominator", "transition-unknown-target", "mcm-rule-outside-stock"],
+         "mcm-zero-denominator", "transition-unknown-target", "mcm-rule-outside-stock",
+         "header-misspelt", "transition-tag-misspelt", "mcm-header-misspelt"],
 )
 def test_cli_malformed_header_exit_2(tmp_path, capsys, suffix, original, old, new, line):
     text = original.replace(old, new, 1)
@@ -269,7 +273,7 @@ def test_cli_malformed_header_exit_2(tmp_path, capsys, suffix, original, old, ne
 CHECK_SHA256 = {
     "balanced3": "5b6b914cd1afc94cc017d3cf17295512299381d01aeea34d1ed3362aff92f983",
     "eq_ab": "631485a6364c3bf0374acb04a84470f56b35d596c8d74c0945424fc7d68ff1ce",
-    "hartmanis": "5235754d7e9a79bc0fb48fb882eef4cc4f9dc86865c2bd6703501346f97ea6fb",
+    "hartmanis": "912dcdce7ced24c9e26dab4fe127131b536719d2be13200f7de0b0f4dd360fc0",
     "regular_witness": "4c229464a5dc33a042543c4453b262dcc6dbbeb79479b78580d88bc276f0db3f",
     "toy_stationary": "b632783a5cf2042d65009a627fe0d3da63b73cd8ca6a99017978d282ab02030c",
 }
@@ -437,6 +441,8 @@ def _parse_reference(text):
                 ds = delta_fields[deltas] = _delta_field(no, deltas, k)
             transitions.append(Transition(state, token, statuses, target, _MOVES[move], ds))
             lines.append(no)
+        elif tag not in ("revca-format", "counters", "maxdelta", "alphabet", "states", "initial", "accepting"):
+            raise FormatError(no, f"unknown line tag {tag!r}")
         else:
             header.setdefault(tag, []).append((no, fields[1:]))
             if tag == "counters":

@@ -1,11 +1,13 @@
 import random
 from dataclasses import replace
-from itertools import product as cartesian
+from itertools import groupby, product as cartesian
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
 
 from revca import constructions
+from revca.cli import _serialize
 from revca.constructions import (
     AlphabetMismatchError,
     EarlyAcceptanceError,
@@ -24,6 +26,7 @@ from revca.formats import parse_automaton
 from revca.mcm import hartmanis_example
 from revca.reversibility import (
     ReverseStep,
+    _stationary_scan,
     check_quasi_realtime,
     derive_reverse,
     derive_reverse_any,
@@ -265,6 +268,29 @@ def test_speedup_identity_at_zero():
     assert speedup(m, 0) is m
 
 
+def test_speedup_returns_only_an_ordinary_machine_as_is():
+    # at ell = 0 an extended source is normalized at c = max_delta, or refused
+    # where a stationary move is left; an ordinary source with no stationary
+    # transition has bound 0, so it comes back as is whatever the promise
+    with pytest.raises(NotQuasiRealtimeError):
+        speedup(parse_automaton((MACHINES / "double_step.rca").read_text()), 0)
+
+    def counting(step, *extra):
+        rows = [("q0", "<", "Z", "q1", 1, (0,))] + [("q1", "a", s, "q1", 1, (step,)) for s in "ZP"]
+        return make_automaton(
+            rows + list(extra), initial="q0", accepting=["q1"], k=1, alphabet={"a", "b"}, max_delta=step
+        )
+
+    ext = counting(2, ("q1", "b", "P", "q1", 1, (-2,)))
+    fast = speedup(ext, 0)
+    assert fast.max_delta == 1 and validate(fast) == []
+    assert set(fast.transitions) == set(normalize_extended(ext).transitions)
+    for word in all_words({"a", "b"}, 6):
+        assert run(fast, word, 20).accepted == run(ext, word, 20).accepted, word
+    ordinary = counting(1)
+    assert speedup(ordinary, 3) is ordinary
+
+
 def test_speedup_toy_stationary():
     m = toy_stationary_counter()
     fast = speedup(m, 1)
@@ -399,6 +425,30 @@ def test_speedup_random_ordinary_machines():
             reversible_sources += 1
             assert derive_reverse(fast).reversible == derive_reverse(resplit).reversible, m
     assert reversible_sources >= 10
+
+
+def test_stationary_bound_caps_every_streak_and_fixes_speedup():
+    """Where the stationary graph is acyclic, its bound b caps the stationary
+    streak of every run, accepted or not, and speedup gives the same bytes
+    for any promise of at least b."""
+    rng = random.Random(1717)
+    bounded = ordinary = tight = 0
+    while bounded < 300:
+        m = random_extended_machine(rng)
+        bound = _stationary_scan(m)[1]
+        if bound is None or validate(m):
+            continue
+        bounded += 1
+        ordinary += m.max_delta == 1
+        longest = 0
+        for word in all_words({"a", "b"}, 4):
+            # a streak of s stationary moves is s + 1 configurations on one cell
+            for _, cell in groupby(run(m, word, 200, trace=True).trace or [], key=attrgetter("head")):
+                longest = max(longest, len(list(cell)) - 1)
+        assert longest <= bound, m
+        tight += longest == bound
+        assert _serialize(speedup(m, bound)) == _serialize(speedup(m, bound + 2)), m
+    assert ordinary >= 30 and bounded - ordinary >= 30 and tight >= 10
 
 
 def _macro_step_reference(norm, state, token, statuses, ell):

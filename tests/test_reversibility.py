@@ -27,6 +27,7 @@ from revca.reversibility import (
     ReverseTable,
     StationaryWitness,
     _post_statuses,
+    _stationary_scan,
     check_quasi_realtime,
     derive_reverse,
     derive_reverse_any,
@@ -581,6 +582,7 @@ def test_stationary_cycle_advisories_are_pinned():
     )
     advisories = check_quasi_realtime(m, 1, 2).advisories
     assert advisories == _stationary_cycles_reference(m)
+    assert _stationary_scan(m) == (advisories, None)  # a cycle leaves streaks unbounded
     assert advisories == [
         "stationary cycle: ('p', 'a', ('P',)) -> ('q', 'a', ('Z',)) -> ('p', 'a', ('P',))",
         "stationary cycle: ('p', 'a', ('P',)) -> ('q', 'a', ('P',)) -> ('p', 'a', ('P',))",

@@ -245,8 +245,8 @@ def test_parts_roundtrip_on_golden_prefixes_and_mutants(valc_machines):
 # SHA-256 of the serialized history-acceptor products; any change to the
 # constructions that alters a single byte of the written machines shows here.
 PRODUCT_SHA256 = {
-    "hartmanis": "1cff3e464e7d3eaa6980c6912701849e72d9bf182af13beabb2563704818232c",
-    "double": "7e6840b32170a115ea8562029267b87721ded13f6f6a1d41d45271c1531c2d89",
+    "hartmanis": "f54eae1c91c708dd5632c77e68d77623213aa2a7c9e7f53abac91acb92df949f",
+    "double": "2228691238d8ed1c533a3ffe0a004738b62407c01acc563819bc10994899fe8c",
 }
 
 
@@ -260,12 +260,13 @@ def test_product_serialization_is_pinned(valc_machines):
         assert digest == PRODUCT_SHA256[name], name
 
 
-# The products of the sped-up halves re-split at c = STATIONARY_BUDGET + 1:
-# what speedup built while it normalized its macro machine at that c.  The
-# ordinary halves lose nothing if re-encoding them gives these bytes back.
+# The products of the sped-up halves, each re-split at its own c = bound + 1
+# for the stationary bound of its slow half: what speedup built while it
+# normalized its macro machine at that c.  The ordinary halves lose nothing
+# if re-encoding them gives these bytes back.
 RESPLIT_PRODUCT_SHA256 = {
-    "hartmanis": "dfb0d5dbf6b928ac39af47446b4b225338b010f44372bd8b7582a85112d93b63",
-    "double": "93d56a8294420d5e0e4360be731427e23167d7d1fc0831bceabb349908f1726f",
+    "hartmanis": "9ffd6fda0088f0cf4cd7766bf2608159ab59058e9a1ee98f8bb205014fea18bd",
+    "double": "131a57bc2fcdf8098e3e2ef393dd8b98495124b868d09f48104dc052df78483f",
 }
 
 
@@ -275,10 +276,11 @@ def test_resplit_parts_give_the_former_product(valc_machines):
 
     from revca.cli import _serialize
     from revca.constructions import normalize_extended, product_intersection
-    from revca.valc import STATIONARY_BUDGET
+    from revca.reversibility import _stationary_scan
 
-    for name, (_machine, v1, v2, _prod) in valc_machines.items():
-        resplit = [normalize_extended(replace(v, max_delta=STATIONARY_BUDGET + 1)) for v in (v1, v2)]
+    for name, (machine, v1, v2, _prod) in valc_machines.items():
+        bounds = [_stationary_scan(build_valc_part_slow(machine, part))[1] for part in (1, 2)]
+        resplit = [normalize_extended(replace(v, max_delta=b + 1)) for v, b in zip((v1, v2), bounds)]
         digest = hashlib.sha256(_serialize(product_intersection(*resplit)).encode()).hexdigest()
         assert digest == RESPLIT_PRODUCT_SHA256[name], name
 
@@ -308,6 +310,20 @@ def _parts(value):
     if isinstance(value, tuple):
         for item in value:
             yield from _parts(item)
+
+
+def test_slow_part_stationary_bounds():
+    # speedup normalizes each half at c = bound + 1, below the stock-wide budget
+    from revca.reversibility import _stationary_scan
+    from revca.valc import STATIONARY_BUDGET
+
+    bounds = {
+        (machine.name, part): _stationary_scan(build_valc_part_slow(machine, part))[1]
+        for machine in (hartmanis_example(), doubling_example())
+        for part in (1, 2)
+    }
+    assert bounds == {("hartmanis", 1): 4, ("hartmanis", 2): 4, ("double", 1): 1, ("double", 2): 1}
+    assert max(bounds.values()) < STATIONARY_BUDGET
 
 
 @pytest.mark.parametrize("part", [1, 2])
