@@ -65,18 +65,18 @@ def cmd_run(args) -> int:
         if not verdict.reversible:
             print("machine is not reversible; cannot replay backward", file=sys.stderr)
             return 2
-        cfg = outcome.final
-        back = [cfg]
-        while True:
-            prev = reversibility.step_back(machine, verdict.table, cfg)
+        # a replay of an n-step run takes exactly n steps back; a run that
+        # revisits its start could otherwise be stepped back forever
+        back = [outcome.final]
+        for _ in range(outcome.steps):
+            prev = reversibility.step_back(machine, verdict.table, back[-1])
             if prev is None:
                 break
             back.append(prev)
-            cfg = prev
         print("backward replay:")
         for cfg in back:
             print(_fmt_config(cfg))
-        if cfg != machine.initial_configuration(word):
+        if back[-1] != machine.initial_configuration(word):
             print("backward replay did not reach the initial configuration", file=sys.stderr)
             return 2
     print(f"{outcome.verdict.value} steps={outcome.steps}")

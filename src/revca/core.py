@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from operator import add, itemgetter
 from typing import Any, Iterable, NamedTuple, Optional
@@ -98,6 +98,50 @@ def status_of(counters: Iterable[int]) -> StatusVector:
             raise NegativeCounterError(f"negative counter value {value}")
         out.append(POSITIVE if value else ZERO)
     return tuple(out)
+
+
+_NEGATIVE = object()  # the backward status of a negative counter; no table row holds it
+
+
+@cache
+def _counter_kernel(k: int):
+    """(forward, backward, add): straight-line counter code for exactly k
+    counters, generated once per k the way ``collections.namedtuple``
+    generates its methods.  On CPython a comprehension is a call of its own,
+    several times the cost of the same tuple written out.
+
+    ``forward(counters)`` is ``status_of`` for counters known not to be
+    negative; ``backward(counters)`` gives ``_NEGATIVE`` for a negative
+    counter; ``add(counters, deltas)`` adds two vectors of length k.  Each
+    raises ValueError on a vector of another length.
+    """
+    c = [f"c{i}" for i in range(k)]
+    d = [f"d{i}" for i in range(k)]
+
+    def vector(items) -> str:
+        return "(" + "".join(f"{item}, " for item in items) + ")"
+
+    source = (
+        f"def forward(counters):\n"
+        f"    [{', '.join(c)}] = counters\n"
+        f"    return {vector(f'P if {x} else Z' for x in c)}\n"
+        f"def backward(counters):\n"
+        f"    [{', '.join(c)}] = counters\n"
+        f"    return {vector(f'P if {x} > 0 else Z if {x} == 0 else N' for x in c)}\n"
+        f"def add(counters, deltas):\n"
+        f"    [{', '.join(c)}] = counters\n"
+        f"    [{', '.join(d)}] = deltas\n"
+        f"    return {vector(f'{x} + {y}' for x, y in zip(c, d))}\n"
+    )
+    namespace = {"P": POSITIVE, "Z": ZERO, "N": _NEGATIVE, "__name__": __name__}
+    exec(source, namespace)
+    return namespace["forward"], namespace["backward"], namespace["add"]
+
+
+def _add_any(counters, deltas) -> tuple[int, ...]:
+    """The counter add of a machine that may fail ``validate``: a delta vector
+    of another length is cut to the shorter one, as ``zip`` does."""
+    return tuple(map(add, counters, deltas))
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,15 +405,15 @@ def step(machine: CounterAutomaton, cfg: Configuration) -> Optional[Configuratio
     """One forward step; None when the table has no entry (the machine halts)."""
     check_configuration(machine, cfg)
     token = machine.scanned(cfg)
-    t = machine.table.get((cfg.state, token, status_of(cfg.counters)))
+    t = machine.table.get((cfg.state, token, _counter_kernel(machine.k)[0](cfg.counters)))
     if t is None:
         return None
-    counters = tuple(c + d for c, d in zip(cfg.counters, t.deltas))
+    counters = _add_any(cfg.counters, t.deltas)
     if any(c < 0 for c in counters):
         raise InvalidTransitionEffectError(
             f"transition {t.key} drives a counter below zero from {cfg.counters}"
         )
-    return Configuration(t.target, cfg.word, cfg.head + t.move, counters)
+    return tuple.__new__(Configuration, (t.target, cfg.word, cfg.head + t.move, counters))
 
 
 def run(
@@ -385,43 +429,51 @@ def run(
     negative by an oversized delta abort the run as a diagnosed reject.
 
     The configuration is validated once per run, at the start.  On a machine
-    that passes ``validate`` with ``max_delta`` 1 every step is then a single
-    ``table`` probe, since no step can leave the model; on any other machine
-    every successor is checked.
+    that passes ``validate`` with ``max_delta`` 1 no step can leave the model,
+    so a step is the k-counter kernel's status vector, one ``table`` probe and
+    the kernel's counter add, plus one ``Configuration`` built with
+    ``tuple.__new__`` when tracing.  On any other machine the add cuts a delta
+    vector of another length, as ``zip`` does, and every successor is checked.
     """
     word = tuple(word)
-    for token in word:
-        if token not in machine.alphabet:
-            raise UnknownTokenError(f"token {token!r} not in alphabet")
+    alphabet = machine.alphabet
+    if not alphabet.issuperset(word):
+        unknown = next(token for token in word if token not in alphabet)
+        raise UnknownTokenError(f"token {unknown!r} not in alphabet")
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
     cfg = machine.initial_configuration(word)
     check_configuration(machine, cfg)
     tokens = (LEFT_END, *word, RIGHT_END)
-    table, checked = machine.table, not machine._clean
+    table, checked, new = machine.table, not machine._clean, tuple.__new__
+    statuses, _, add_counters = _counter_kernel(machine.k)
+    if checked:
+        add_counters = _add_any
     state, head, counters = cfg.state, cfg.head, cfg.counters
     history = [cfg] if trace else None
     steps = 0
     while True:
-        t = table.get((state, tokens[head], tuple([POSITIVE if c else ZERO for c in counters])))
+        t = table.get((state, tokens[head], statuses(counters)))
         if t is None:
             verdict = Verdict.ACCEPT if state in machine.accepting else Verdict.REJECT_HALT
-            return RunOutcome(verdict, steps, Configuration(state, word, head, counters), history)
-        nxt = tuple(map(add, counters, t.deltas))
+            return RunOutcome(verdict, steps, new(Configuration, (state, word, head, counters)), history)
+        nxt = add_counters(counters, t.deltas)
         if checked and any(c < 0 for c in nxt):
             return RunOutcome(
                 Verdict.REJECT_HALT,
                 steps,
-                Configuration(state, word, head, counters),
+                new(Configuration, (state, word, head, counters)),
                 history,
                 diagnostic=f"transition {t.key} drives a counter below zero from {counters}",
             )
         if steps == fuel:
-            return RunOutcome(Verdict.FUEL_EXHAUSTED, steps, Configuration(state, word, head, counters), history)
+            return RunOutcome(
+                Verdict.FUEL_EXHAUSTED, steps, new(Configuration, (state, word, head, counters)), history
+            )
         state, head, counters = t.target, head + t.move, nxt
         steps += 1
         if checked or trace:
-            cfg = Configuration(state, word, head, counters)
+            cfg = new(Configuration, (state, word, head, counters))
             if checked:
                 check_configuration(machine, cfg)
             if trace:

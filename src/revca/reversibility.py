@@ -25,6 +25,7 @@ from .core import (
     StatusVector,
     Transition,
     ZERO,
+    _counter_kernel,
     all_words,
     check_configuration,
     run,
@@ -170,27 +171,25 @@ def derive_reverse_any(machine: CounterAutomaton) -> ReversibilityVerdict:
     return ReversibilityVerdict(None, conflicts)
 
 
-_NEGATIVE = object()  # the status of a negative counter in a row probe; no row holds it
-
-
 def step_back(
     machine: CounterAutomaton, table: ReverseTable, cfg: Configuration
 ) -> Optional[Configuration]:
     """One backward step via the reverse table; None when no entry applies.
 
-    One probe of the table's rows on (state, statuses) gives the move and the
-    entries to read after it.  A negative counter has a status that no row
-    holds, so it misses; a hit checks the number of counters and the head.
-    A miss, or a hit that fails those checks, goes to ``check_configuration``,
-    which raises on any malformed configuration: whether ``cfg.state``
-    belongs to the machine is only tested there.  The underflow of the
-    backward deltas is checked on the way out.
+    The step is the backward status vector from the counter kernel of
+    ``len(cfg.counters)`` counters, one probe of the table's rows on (state,
+    statuses) for the move and the entries to read after it, one token
+    probe, the counter add, and a ``Configuration`` built with
+    ``tuple.__new__``.  A negative counter has a status that no row holds,
+    so it misses; a hit checks the number of counters and the head.  A miss,
+    or a hit that fails those checks, goes to ``check_configuration``, which
+    raises on any malformed configuration: whether ``cfg.state`` belongs to
+    the machine is only tested there.  The underflow of the backward deltas
+    is checked on the way out.
     """
     state, word, head, counters = cfg
     right = len(word) + 1
-    row = table._rows.get(
-        (state, tuple([POSITIVE if c > 0 else ZERO if c == 0 else _NEGATIVE for c in counters]))
-    )
+    row = table._rows.get((state, _counter_kernel(len(counters))[1](counters)))
     if row is not None and len(counters) == machine.k and 0 <= head <= right:
         head += row[0]
         if 0 <= head <= right:
@@ -199,7 +198,7 @@ def step_back(
                 counters = tuple(map(add, counters, out.deltas))
                 if counters and min(counters) < 0:
                     raise NegativeCounterError(f"backward deltas {out.deltas} underflow {cfg.counters}")
-                return Configuration(out.target, word, head, counters)
+                return tuple.__new__(Configuration, (out.target, word, head, counters))
     check_configuration(machine, cfg)
     return None
 
@@ -268,17 +267,21 @@ def _read_cell(machine, table, word, head, key, fuel) -> tuple[bool, Optional[tu
 
     Returns (True, None) at the first step that does not invert; otherwise
     False and the key at which the head reaches the next cell, or None when
-    the run halts or runs out of fuel first.
+    the run halts or runs out of fuel first.  ``machine`` must pass
+    ``validate`` with ``max_delta`` 1, as the k-counter kernel's add assumes
+    delta vectors of length k.
     """
     state, counters, steps = key
     token = LEFT_END if head == 0 else RIGHT_END if head > len(word) else word[head - 1]
-    before = Configuration(state, word, head, counters)
+    statuses, _, add_counters = _counter_kernel(machine.k)
+    probe, new = machine.table.get, tuple.__new__
+    before = new(Configuration, (state, word, head, counters))
     while steps < fuel:
-        t = machine.table.get((state, token, tuple([POSITIVE if c else ZERO for c in counters])))
+        t = probe((state, token, statuses(counters)))
         if t is None:
             break
-        state, counters, steps = t.target, tuple(map(add, counters, t.deltas)), steps + 1
-        after = Configuration(state, word, head + t.move, counters)
+        state, counters, steps = t.target, add_counters(counters, t.deltas), steps + 1
+        after = new(Configuration, (state, word, head + t.move, counters))
         if step_back(machine, table, after) != before:
             return True, None
         if t.move:

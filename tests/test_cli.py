@@ -88,6 +88,19 @@ def test_cli_run_backward_without_trace(capsys):
     assert out.count("(q0 head=0") == 1  # the replay's end, no forward trace
 
 
+def test_cli_run_backward_stops_on_a_run_that_revisits_its_start(tmp_path, capsys):
+    # every step of this run returns to the initial configuration, so the
+    # reverse table steps back from it forever; the replay stops after 5
+    path = tmp_path / "loop.rca"
+    path.write_text(
+        "revca-format 1\ncounters 1\nalphabet a\nstates q0\ninitial q0\naccepting\nt q0 < Z -> q0 0 0\n"
+    )
+    rc = main(["run", str(path), "", "--fuel", "5", "--backward"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert out == ["backward replay:"] + ["(q0 head=0 counters=0)"] * 6 + ["FUEL_EXHAUSTED steps=5"]
+
+
 def test_cli_run_empty_word(capsys):
     for word in ("", " "):
         rc = main(["run", str(MACHINES / "eq_ab.rca"), word])

@@ -1,5 +1,7 @@
 import gc
+import random
 from collections import Counter
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -13,9 +15,13 @@ from revca.core import (
     InvalidConfigurationError,
     InvalidTransitionEffectError,
     NegativeCounterError,
+    POSITIVE,
     Transition,
     UnknownTokenError,
     Verdict,
+    ZERO,
+    _NEGATIVE,
+    _counter_kernel,
     all_words,
     make_automaton,
     rename_states,
@@ -45,6 +51,25 @@ def test_status_of_componentwise(values):
     assert len(statuses) == len(values)
     for v, s in zip(values, statuses):
         assert s == ("P" if v else "Z")
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_counter_kernel_matches_references(k):
+    forward, backward, add_counters = _counter_kernel(k)
+    assert _counter_kernel(k) == (forward, backward, add_counters)  # generated once per k
+    rng = random.Random(k)
+    for _ in range(200):
+        counters = tuple(rng.randint(-2, 3) for _ in range(k))
+        deltas = tuple(rng.randint(-2, 2) for _ in range(k))
+        natural = tuple(map(abs, counters))
+        assert forward(natural) == status_of(natural)
+        assert backward(counters) == tuple([POSITIVE if c > 0 else ZERO if c == 0 else _NEGATIVE for c in counters])
+        assert add_counters(counters, deltas) == tuple(map(add, counters, deltas))
+    for size in (k - 1, k + 1):
+        if size >= 0:
+            for kernel_call in (forward, backward, lambda c: add_counters(c, c)):
+                with pytest.raises(ValueError):
+                    kernel_call((0,) * size)
 
 
 def test_validate_clean_example():
@@ -256,7 +281,7 @@ def _run_by_steps(machine, word, fuel):
 
 @st.composite
 def unvalidated_machines(draw):
-    k = draw(st.integers(min_value=0, max_value=2))
+    k = draw(st.integers(min_value=0, max_value=3))
     rows = draw(
         st.lists(
             st.tuples(

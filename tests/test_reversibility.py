@@ -16,6 +16,7 @@ from revca.core import (
     check_configuration,
     make_automaton,
     run,
+    step,
     validate,
 )
 from revca.reversibility import (
@@ -252,7 +253,7 @@ def _roundtrip_case(rng):
     (unvalidated) one may also move left or past the right endmarker, leave
     its states, or decrement a zero counter.  Forged tables drop and add
     entries, with moves in {-1, 0, 1, 2} and deltas that can underflow."""
-    k = rng.choice([0, 1, 2])
+    k = rng.choice([0, 1, 2, 3])
     states = [f"q{i}" for i in range(rng.randint(1, 4))]
     tokens = ["<", ">"] + rng.choice([["a"], ["a", "b"], ["a", "b", "c"]])
     risky = rng.random() < 0.2
@@ -399,6 +400,20 @@ def test_step_back_matches_reference(rng):
         configurations.append(Configuration(rng.choice(states), word, head, counters))
     for cfg in configurations:
         assert _outcome(step_back, machine, table, cfg) == _outcome(_step_back_reference, machine, table, cfg)
+
+
+def test_forward_and_backward_steps_build_configurations():
+    m = build_balanced(4)
+    table = derive_reverse(m).table
+    outcome = run(m, "abcd", 100, trace=True)
+    assert outcome.accepted
+    stepped = [step(m, cfg) for cfg in outcome.trace[:-1]]
+    recovered = [step_back(m, table, cfg) for cfg in outcome.trace[1:]]
+    assert stepped == outcome.trace[1:] and recovered == outcome.trace[:-1]
+    for cfg in outcome.trace + [outcome.final] + stepped + recovered:
+        assert type(cfg) is Configuration
+        assert (cfg.state, cfg.word, cfg.head, cfg.counters) == tuple(cfg)
+        assert cfg._replace(head=0) == Configuration(cfg.state, cfg.word, 0, cfg.counters)
 
 
 def _derive_reverse_reference(machine):
