@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby, islice, product
-from operator import add, attrgetter
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -25,6 +25,7 @@ from .core import (
     StatusVector,
     Transition,
     ZERO,
+    _add_any,
     _counter_kernel,
     all_words,
     check_configuration,
@@ -179,8 +180,10 @@ def step_back(
     The step is the backward status vector from the counter kernel of
     ``len(cfg.counters)`` counters, one probe of the table's rows on (state,
     statuses) for the move and the entries to read after it, one token
-    probe, the counter add, and a ``Configuration`` built with
-    ``tuple.__new__``.  A negative counter has a status that no row holds,
+    probe, the counter add through the kernel, and a ``Configuration``
+    built with ``tuple.__new__``.  A forged entry whose deltas have another
+    length is added cut to the shorter vector, as ``run`` does on an
+    unclean machine.  A negative counter has a status that no row holds,
     so it misses; a hit checks the number of counters and the head.  A miss,
     or a hit that fails those checks, goes to ``check_configuration``, which
     raises on any malformed configuration: whether ``cfg.state`` belongs to
@@ -189,13 +192,17 @@ def step_back(
     """
     state, word, head, counters = cfg
     right = len(word) + 1
-    row = table._rows.get((state, _counter_kernel(len(counters))[1](counters)))
+    _, backward, add_counters = _counter_kernel(len(counters))
+    row = table._rows.get((state, backward(counters)))
     if row is not None and len(counters) == machine.k and 0 <= head <= right:
         head += row[0]
         if 0 <= head <= right:
             out = row[1].get(LEFT_END if head == 0 else RIGHT_END if head == right else word[head - 1])
             if out is not None:
-                counters = tuple(map(add, counters, out.deltas))
+                try:
+                    counters = add_counters(counters, out.deltas)
+                except ValueError:
+                    counters = _add_any(counters, out.deltas)
                 if counters and min(counters) < 0:
                     raise NegativeCounterError(f"backward deltas {out.deltas} underflow {cfg.counters}")
                 return tuple.__new__(Configuration, (out.target, word, head, counters))

@@ -18,6 +18,7 @@ from .constructions import product_intersection
 
 BARRED = {"A": "a", "B": "b"}
 LETTER_BITS = {"a": "0", "b": "1", "A": "0", "B": "1"}
+_BITS = str.maketrans(LETTER_BITS)  # passes unmapped letters through: validate first
 _LK_SHAPE = re.compile(r"([ab]*[AB])(\$+)([AB][ab]*)")  # u z1, $^i, z2 v
 
 
@@ -27,10 +28,10 @@ class UnknownLetterError(MachineError):
 
 def phi(word: str) -> str:
     """Letterwise {a, b and barred variants} -> {0, 1} homomorphism."""
-    try:
-        return "".join(LETTER_BITS[ch] for ch in word)
-    except KeyError as exc:
-        raise UnknownLetterError(f"letter {exc.args[0]!r} outside a/b/A/B") from exc
+    unknown = word.lstrip("abAB")  # starts at the first letter outside a/b/A/B
+    if unknown:
+        raise UnknownLetterError(f"letter {unknown[0]!r} outside a/b/A/B")
+    return word.translate(_BITS)
 
 
 def eta(bits: str) -> int:
@@ -64,9 +65,9 @@ def decide_Lk(k: int, word: str) -> bool:
     i = len(separators)
     if i > k or len(prefix) % k:
         return False
-    left = eta(scattered_factor(phi(prefix), k, i))
-    right = eta(phi(suffix)[::-1])
-    return left == right and left >= 1
+    # the match has checked every letter, and both bit strings are nonempty
+    left = int(prefix[i - 1 :: k].translate(_BITS), 2)
+    return left >= 1 and left == int(suffix[::-1].translate(_BITS), 2)
 
 
 def gen_Lk_member(k: int, j: int, i: int, seed: int = 0) -> str:
@@ -91,27 +92,23 @@ def gen_Lk_member(k: int, j: int, i: int, seed: int = 0) -> str:
 
 
 def brute_force_Lk(k: int, word: str) -> bool:
-    """Split-enumeration oracle for L_k: try every way of reading the word as
-    u z1 $^i z2 v and check the value equation directly."""
+    """Split-enumeration oracle for L_k: try every split u z1 $^i z2 v that
+    the definition allows, z1 = word[p1] with k dividing p1 + 1 and z2 =
+    word[p2] with 1 <= i = p2 - p1 - 1 <= k, check each piece on its own and
+    the value equation through the public phi, scattered_factor and eta.
+    It shares no regex and no parse with ``decide_Lk``."""
+    if k < 2:
+        raise ValueError("k must be at least 2")
     n = len(word)
-    for p1 in range(n):
-        if p1 and word[p1 - 1] not in "ab":
+    for p1 in range(k - 1, n, k):
+        if word[:p1].strip("ab"):
             break  # u = word[:p1] must lie in {a, b}*, so no later p1 can split the word
         if word[p1] not in BARRED:
             continue
-        if (p1 + 1) % k or p1 == 0:
-            continue
-        for p2 in range(p1 + 1, n):
-            if word[p2] not in BARRED:
+        for p2 in range(p1 + 2, min(p1 + k + 2, n)):
+            if word[p2] not in BARRED or word[p1 + 1 : p2].strip("$") or word[p2 + 1 :].strip("ab"):
                 continue
-            i = p2 - p1 - 1
-            if not 1 <= i <= k:
-                continue
-            if any(ch != "$" for ch in word[p1 + 1 : p2]):
-                continue
-            if any(ch not in "ab" for ch in word[p2 + 1 :]):
-                continue
-            left = eta(scattered_factor(phi(word[: p1 + 1]), k, i))
+            left = eta(scattered_factor(phi(word[: p1 + 1]), k, p2 - p1 - 1))
             right = eta(phi(word[p2:])[::-1])
             if left == right and left >= 1:
                 return True

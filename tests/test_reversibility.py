@@ -402,6 +402,23 @@ def test_step_back_matches_reference(rng):
         assert _outcome(step_back, machine, table, cfg) == _outcome(_step_back_reference, machine, table, cfg)
 
 
+@pytest.mark.parametrize("size", [1, 3, 4])
+def test_step_back_cuts_forged_deltas_to_the_shorter_vector(size):
+    """Entries keyed on k = 2 statuses whose deltas have another length add
+    as the reference does, cut to the shorter vector."""
+    m = build_balanced(3)
+    entries = derive_reverse(m).table.entries
+    table = ReverseTable({key: out._replace(deltas=(out.deltas + (0, 0))[:size]) for key, out in entries.items()})
+    recovered = 0
+    for cfg in run(m, "aabbcc", 100, trace=True).trace[1:]:
+        got = _outcome(step_back, m, table, cfg)
+        assert got == _outcome(_step_back_reference, m, table, cfg)
+        if isinstance(got, Configuration):
+            assert len(got.counters) == min(size, m.k)
+            recovered += 1
+    assert recovered
+
+
 def test_forward_and_backward_steps_build_configurations():
     m = build_balanced(4)
     table = derive_reverse(m).table

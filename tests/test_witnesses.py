@@ -1,3 +1,5 @@
+import random
+import re
 from collections import Counter
 from itertools import product
 
@@ -7,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from revca.core import all_words, run, validate
 from revca.reversibility import derive_reverse, verify_roundtrip
 from revca.witnesses import (
+    BARRED,
+    LETTER_BITS,
     UnknownLetterError,
     WITNESS_PATTERN,
     brute_force_Lk,
@@ -26,8 +30,9 @@ def test_phi():
     assert phi("AB") == "01"
     assert phi("") == ""
     assert phi("abAB") == "0101"
-    with pytest.raises(UnknownLetterError):
-        phi("ax")
+    for word, letter in (("ax", "x"), ("a0", "0"), ("1", "1"), ("a$b", "$"), ("ab$a1", "$")):
+        with pytest.raises(UnknownLetterError, match=re.escape(f"letter {letter!r} ")):
+            phi(word)
 
 
 def test_eta():
@@ -67,6 +72,103 @@ def test_decide_Lk_agrees_with_brute_force_random(k, w):
     assert decide_Lk(k, w) == brute_force_Lk(k, w)
 
 
+@pytest.mark.parametrize("k", [-1, 0, 1])
+def test_Lk_deciders_reject_k_below_2(k):
+    for decide in (decide_Lk, brute_force_Lk):
+        with pytest.raises(ValueError, match="k must be at least 2"):
+            decide(k, "aB$B")
+
+
+def _phi_reference(word):
+    try:
+        return "".join(LETTER_BITS[ch] for ch in word)
+    except KeyError as exc:
+        raise UnknownLetterError(f"letter {exc.args[0]!r} outside a/b/A/B") from exc
+
+
+def _decide_Lk_reference(k, word):
+    shape = re.fullmatch(r"([ab]*[AB])(\$+)([AB][ab]*)", word)
+    if shape is None:
+        return False
+    prefix, separators, suffix = shape.groups()
+    i = len(separators)
+    if i > k or len(prefix) % k:
+        return False
+    left = eta(scattered_factor(_phi_reference(prefix), k, i))
+    right = eta(_phi_reference(suffix)[::-1])
+    return left == right and left >= 1
+
+
+def _brute_force_Lk_reference(k, word):
+    """Every split point, each piece checked letter by letter."""
+    n = len(word)
+    for p1 in range(n):
+        if p1 and word[p1 - 1] not in "ab":
+            break
+        if word[p1] not in BARRED:
+            continue
+        if (p1 + 1) % k or p1 == 0:
+            continue
+        for p2 in range(p1 + 1, n):
+            if word[p2] not in BARRED:
+                continue
+            i = p2 - p1 - 1
+            if not 1 <= i <= k:
+                continue
+            if any(ch != "$" for ch in word[p1 + 1 : p2]):
+                continue
+            if any(ch not in "ab" for ch in word[p2 + 1 :]):
+                continue
+            left = eta(scattered_factor(_phi_reference(word[: p1 + 1]), k, i))
+            right = eta(_phi_reference(word[p2:])[::-1])
+            if left == right and left >= 1:
+                return True
+    return False
+
+
+def _assert_deciders_match_references(k, word):
+    expected = _decide_Lk_reference(k, word)
+    assert _brute_force_Lk_reference(k, word) == expected, (k, word)
+    assert decide_Lk(k, word) == expected, (k, word)
+    assert brute_force_Lk(k, word) == expected, (k, word)
+
+
+def test_phi_matches_reference():
+    for n in range(4):
+        for tup in product("abAB$01x", repeat=n):
+            word = "".join(tup)
+            try:
+                expected = _phi_reference(word)
+            except UnknownLetterError as exc:
+                with pytest.raises(UnknownLetterError, match=re.escape(str(exc))):
+                    phi(word)
+            else:
+                assert phi(word) == expected
+
+
+def test_Lk_deciders_match_references_on_members_and_mutants():
+    """The benchmark's shapes: k in 2..4, |u z1| = j*k for j in 1..6, every
+    i, each member with one-letter mutants at seeded positions."""
+    rng = random.Random(2024)
+    for k in (2, 3, 4):
+        for j in range(1, 7):
+            for i in range(1, k + 1):
+                for _ in range(4):
+                    word = gen_Lk_member(k, j, i, seed=rng.randrange(2**31))
+                    assert _decide_Lk_reference(k, word), (k, word)
+                    _assert_deciders_match_references(k, word)
+                    for _ in range(3):
+                        pos = rng.randrange(len(word))
+                        letter = rng.choice([ch for ch in "abAB$" if ch != word[pos]])
+                        _assert_deciders_match_references(k, word[:pos] + letter + word[pos + 1 :])
+
+
+def test_Lk_deciders_match_references_on_every_short_word_for_k_4():
+    for n in range(7):
+        for tup in product("abAB$", repeat=n):
+            _assert_deciders_match_references(4, "".join(tup))
+
+
 def test_gen_Lk_member_shapes():
     w = gen_Lk_member(2, 2, 2, seed=11)
     assert decide_Lk(2, w)
@@ -78,8 +180,6 @@ def test_gen_Lk_member_shapes():
 
 def test_gen_Lk_member_mutations_mostly_fail():
     rng_words = [gen_Lk_member(2, 2, 1, seed=s) for s in range(100)]
-    import random
-
     rng = random.Random(99)
     broken = 0
     total = 0
