@@ -236,13 +236,25 @@ def verify_roundtrip(
     first reaches a new cell: ``steps`` is there for the fuel.  Level n maps
     each key reached after n letters to the first word that reaches it;
     expanding the keys in order, letters sorted, visits the words in the
-    order above, and a repeated key skips its subtree.  Checking each
-    distinct step once is enough: under the backward move that negates the
-    forward one, ``step_back`` reads only the token the step consumed, and
-    any other move cannot give the step's predecessor back, so the first
-    step that fails here is the first that fails in the word's own run, and
-    an error that ``step_back`` raises here is the one the replay raises.
-    The cost is per distinct key per length, not per word.
+    order above, and a repeated key skips its subtree.  The cost is per
+    distinct key per length, not per word.
+
+    Nor is a step stepped back each time it is taken.  Take a step by
+    transition ``t`` from ``before`` to ``after``, with counter statuses
+    ``post`` after it.  ``step_back(after)`` reads the row at (``t.target``,
+    ``post``).  Unless the row's move is ``-t.move`` the head lands on
+    another cell than ``before``'s; if it is, the head is back on
+    ``t.token``, and the row's entry for that token gives ``before`` exactly
+    when its target is ``t.state`` and its deltas undo ``t.deltas``.  So
+    whether a step inverts depends on (``t``, ``post``) alone, and a step
+    that inverts cannot underflow, since it gives back ``before``'s
+    counters.  The search keys each step on (``id(t)``, ``post``), ``t``
+    being held alive by ``machine.table``, and calls ``step_back`` on a
+    step's first sight only: a step that inverted once inverts every time,
+    and one that fails, or raises, ends the search at its first sight.  The
+    steps skipped all invert, so the first step that fails here is the
+    first that fails in the word's own run, and an error that ``step_back``
+    raises here is the one the replay raises.
 
     A machine that fails ``validate`` or has a ``max_delta`` above 1 may
     move left or leave the model, so its words are still run one at a time.
@@ -253,48 +265,51 @@ def verify_roundtrip(
         words = all_words(machine.alphabet, max_len)
         return next(filter(None, (roundtrip_word(machine, table, w, fuel) for w in words)), None)
     run(machine, (), min(fuel, 0))  # raises as the first word's run does on a bad fuel or start
+    statuses, _, add_counters = _counter_kernel(machine.k)
+    probe, new = machine.table.get, tuple.__new__
+    inverted: set[tuple] = set()  # (id(t), post) of every step stepped back so far
+
+    def read_cell(word, head, token, key) -> tuple[bool, Optional[tuple]]:
+        """Run ``word`` from ``key`` = (state, counters, steps) with the head
+        on cell ``head``, which holds ``token``, until it moves on: (True,
+        None) at the first step that does not invert, else False and the key
+        at which the head reaches the next cell, or None when the run halts
+        or runs out of fuel first.  A step's post statuses key it in
+        ``inverted`` and probe the table for the next step, so each status
+        vector is worked out once; configurations are built only for a step
+        seen for the first time."""
+        state, counters, steps = key
+        post = statuses(counters)
+        while steps < fuel:
+            t = probe((state, token, post))
+            if t is None:
+                break
+            before = counters
+            state, counters, steps = t.target, add_counters(counters, t.deltas), steps + 1
+            post = statuses(counters)
+            step = (id(t), post)
+            if step not in inverted:
+                after = new(Configuration, (state, word, head + t.move, counters))
+                if step_back(machine, table, after) != new(Configuration, (t.state, word, head, before)):
+                    return True, None
+                inverted.add(step)
+            if t.move:
+                return False, (state, counters, steps)
+        return False, None
+
     letters = sorted(machine.alphabet)
     pending = [((), (machine.initial, (0,) * machine.k, 0))]
-    for _ in range(max_len + 1):
+    for n in range(max_len + 1):
         level: dict[tuple, tuple[str, ...]] = {}
         for word, key in pending:
-            bad, child = _read_cell(machine, table, word, len(word), key, fuel)
+            bad, child = read_cell(word, n, word[-1] if n else LEFT_END, key)
             if child is not None and child not in level:
                 level[child] = word
-                bad = _read_cell(machine, table, word, len(word) + 1, child, fuel)[0]
+                bad = read_cell(word, n + 1, RIGHT_END, child)[0]
             if bad:
                 return roundtrip_word(machine, table, word, fuel)
         pending = ((word + (letter,), key) for key, word in level.items() for letter in letters)
     return None
-
-
-def _read_cell(machine, table, word, head, key, fuel) -> tuple[bool, Optional[tuple]]:
-    """Run ``word`` from ``key`` = (state, counters, steps) with the head on
-    cell ``head`` until it moves on, stepping each step back through ``table``.
-
-    Returns (True, None) at the first step that does not invert; otherwise
-    False and the key at which the head reaches the next cell, or None when
-    the run halts or runs out of fuel first.  ``machine`` must pass
-    ``validate`` with ``max_delta`` 1, as the k-counter kernel's add assumes
-    delta vectors of length k.
-    """
-    state, counters, steps = key
-    token = LEFT_END if head == 0 else RIGHT_END if head > len(word) else word[head - 1]
-    statuses, _, add_counters = _counter_kernel(machine.k)
-    probe, new = machine.table.get, tuple.__new__
-    before = new(Configuration, (state, word, head, counters))
-    while steps < fuel:
-        t = probe((state, token, statuses(counters)))
-        if t is None:
-            break
-        state, counters, steps = t.target, add_counters(counters, t.deltas), steps + 1
-        after = new(Configuration, (state, word, head + t.move, counters))
-        if step_back(machine, table, after) != before:
-            return True, None
-        if t.move:
-            return False, (state, counters, steps)
-        before = after
-    return False, None
 
 
 def roundtrip_word(machine, table, word, fuel=10_000) -> Optional[RoundtripCounterexample]:

@@ -5,6 +5,7 @@ from operator import add
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from revca import reversibility
 from revca.core import (
     LEFT_END,
     POSITIVE,
@@ -16,6 +17,7 @@ from revca.core import (
     check_configuration,
     make_automaton,
     run,
+    status_of,
     step,
     validate,
 )
@@ -300,7 +302,7 @@ def _roundtrip_case(rng):
     return machine, ReverseTable(entries), rng.randint(0, 4 if fuel == 10_000 else 5), fuel
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.randoms(use_true_random=True))
 def test_verify_roundtrip_matches_per_word_reference(rng):
     case = _roundtrip_case(rng)
@@ -348,6 +350,45 @@ def test_verify_roundtrip_reaches_lengths_no_word_loop_can():
     assert verify_roundtrip(m, derive_reverse(m).table, 40) is None
 
 
+def test_verify_roundtrip_keys_each_step_on_its_post_statuses():
+    # the decrement (qa, b, P) is first stepped back at post status Z, on
+    # a a b; it first reaches post status P, whose entry is forged, on a a a b
+    m = build_eq_ab()
+    entries = dict(derive_reverse(m).table.entries)
+    entries["qa", "b", ("P",)] = ReverseStep("qa", -1, (0,))
+    forged = ReverseTable(entries)
+    bad = verify_roundtrip(m, forged, 6)
+    assert bad.word == ("a", "a", "a", "b")
+    assert bad == _verify_roundtrip_reference(m, forged, 6)
+
+
+def _step_of(machine, before, after):
+    """The (transition, post statuses) pair of one forward step."""
+    token = (LEFT_END, *before.word, RIGHT_END)[before.head]
+    return machine.table[before.state, token, status_of(before.counters)], status_of(after.counters)
+
+
+@pytest.mark.parametrize("m, max_len", [(build_eq_ab(), 10), (build_balanced(3), 7)], ids=["eq-ab", "balanced-3"])
+def test_verify_roundtrip_steps_back_each_distinct_step_once(monkeypatch, m, max_len):
+    table = derive_reverse(m).table
+    calls = []
+
+    def counting(machine, table, after):
+        before = step_back(machine, table, after)
+        calls.append(_step_of(machine, before, after))
+        return before
+
+    monkeypatch.setattr(reversibility, "step_back", counting)
+    assert verify_roundtrip(m, table, max_len) is None
+    steps, reached = 0, set()
+    for word in all_words(m.alphabet, max_len):
+        trace = run(m, word, 10_000, trace=True).trace
+        steps += len(trace) - 1
+        reached.update(_step_of(m, before, after) for before, after in zip(trace, trace[1:]))
+    assert len(calls) == len(set(calls)) == len(reached) < steps
+    assert set(calls) == reached
+
+
 def _step_back_reference(machine, table, cfg):
     """One backward step as the move map plus two table probes did it: the
     last entry of a (state, statuses) group sets the group's move."""
@@ -372,7 +413,7 @@ def _step_back_reference(machine, table, cfg):
     return Configuration(out.target, word, head, counters)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.randoms(use_true_random=True))
 def test_step_back_matches_reference(rng):
     machine, table, _, _ = _roundtrip_case(rng)
