@@ -105,43 +105,115 @@ _NEGATIVE = object()  # the backward status of a negative counter; no table row 
 
 @cache
 def _counter_kernel(k: int):
-    """(forward, backward, add): straight-line counter code for exactly k
-    counters, generated once per k the way ``collections.namedtuple``
-    generates its methods.  On CPython a comprehension is a call of its own,
-    several times the cost of the same tuple written out.
+    """(forward, backward, add, loop, back): straight-line counter code for
+    exactly k counters, generated once per k the way
+    ``collections.namedtuple`` generates its methods.  On CPython a
+    comprehension is a call of its own, several times the cost of the same
+    tuple written out, and so is every helper a step calls.
 
     ``forward(counters)`` is ``status_of`` for counters known not to be
     negative; ``backward(counters)`` gives ``_NEGATIVE`` for a negative
-    counter; ``add(counters, deltas)`` adds two vectors of length k.  Each
-    raises ValueError on a vector of another length.
+    counter; ``add(counters, deltas)`` adds two vectors of length k.  The
+    two steppers write those expressions out in their own bodies:
+
+    - ``loop(get, tokens, cfg, fuel, history)`` is ``run``'s forward loop on
+      a clean machine, from ``cfg`` over ``tokens`` (the word between its
+      endmarkers), with ``get`` the table's probe.  It appends each
+      configuration it reaches to ``history`` unless that is None, and
+      returns (t, steps, final): t is None when the machine halts, else it
+      is the transition that the fuel did not let fire.
+    - ``back(rows, cfg)`` is ``step_back``'s hit path on a reverse table's
+      ``_rows``: the configuration before ``cfg``, or None where the row,
+      the head or the token misses.  An entry whose deltas have another
+      length, or drive a counter below zero, goes to ``_cut_back``.
+
+    Each raises ValueError on a counter vector of another length, and
+    ``add`` and ``loop`` on a delta vector of another length.
     """
     c = [f"c{i}" for i in range(k)]
     d = [f"d{i}" for i in range(k)]
+    counters, deltas = f"[{', '.join(c)}]", f"[{', '.join(d)}]"
 
     def vector(items) -> str:
         return "(" + "".join(f"{item}, " for item in items) + ")"
 
+    def added(indent: str) -> str:
+        return "".join(f"{indent}{x} += {y}\n" for x, y in zip(c, d))
+
+    forward = vector(f"P if {x} else Z" for x in c)
+    backward = vector(f"P if {x} > 0 else Z if {x} == 0 else N" for x in c)
+    underflow = (
+        f"    if {' or '.join(f'{x} < 0' for x in c)}:\n"
+        f"        return cut(cfg, target, head, deltas)\n"
+    ) if c else ""
     source = (
         f"def forward(counters):\n"
-        f"    [{', '.join(c)}] = counters\n"
-        f"    return {vector(f'P if {x} else Z' for x in c)}\n"
+        f"    {counters} = counters\n"
+        f"    return {forward}\n"
         f"def backward(counters):\n"
-        f"    [{', '.join(c)}] = counters\n"
-        f"    return {vector(f'P if {x} > 0 else Z if {x} == 0 else N' for x in c)}\n"
+        f"    {counters} = counters\n"
+        f"    return {backward}\n"
         f"def add(counters, deltas):\n"
-        f"    [{', '.join(c)}] = counters\n"
-        f"    [{', '.join(d)}] = deltas\n"
+        f"    {counters} = counters\n"
+        f"    {deltas} = deltas\n"
         f"    return {vector(f'{x} + {y}' for x, y in zip(c, d))}\n"
+        f"def loop(get, tokens, cfg, fuel, history):\n"
+        f"    state, word, head, {counters} = cfg\n"
+        f"    steps = 0\n"
+        f"    while True:\n"
+        f"        t = get((state, tokens[head], {forward}))\n"
+        f"        if t is None or steps == fuel:\n"
+        f"            return t, steps, new(Configuration, (state, word, head, {vector(c)}))\n"
+        f"        _, _, _, state, move, {deltas} = t\n"
+        f"        head += move\n"
+        f"{added('        ')}"
+        f"        steps += 1\n"
+        f"        if history is not None:\n"
+        f"            history.append(new(Configuration, (state, word, head, {vector(c)})))\n"
+        f"def back(rows, cfg):\n"
+        f"    state, word, head, {counters} = cfg\n"
+        f"    row = rows.get((state, {backward}))\n"
+        f"    right = len(word) + 1\n"
+        f"    if row is None or not 0 <= head <= right:\n"
+        f"        return None\n"
+        f"    move, out = row\n"
+        f"    head += move\n"
+        f"    if not 0 <= head <= right:\n"
+        f"        return None\n"
+        f"    out = out.get(L if head == 0 else R if head == right else word[head - 1])\n"
+        f"    if out is None:\n"
+        f"        return None\n"
+        f"    target, _, deltas = out\n"
+        f"    try:\n"
+        f"        {deltas} = deltas\n"
+        f"    except ValueError:\n"
+        f"        return cut(cfg, target, head, deltas)\n"
+        f"{added('    ')}"
+        f"{underflow}"
+        f"    return new(Configuration, (target, word, head, {vector(c)}))\n"
     )
-    namespace = {"P": POSITIVE, "Z": ZERO, "N": _NEGATIVE, "__name__": __name__}
+    namespace = {
+        "P": POSITIVE, "Z": ZERO, "N": _NEGATIVE, "L": LEFT_END, "R": RIGHT_END,
+        "Configuration": Configuration, "new": tuple.__new__, "cut": _cut_back, "__name__": __name__,
+    }
     exec(source, namespace)
-    return namespace["forward"], namespace["backward"], namespace["add"]
+    return tuple(namespace[name] for name in ("forward", "backward", "add", "loop", "back"))
 
 
 def _add_any(counters, deltas) -> tuple[int, ...]:
     """The counter add of a machine that may fail ``validate``: a delta vector
     of another length is cut to the shorter one, as ``zip`` does."""
     return tuple(map(add, counters, deltas))
+
+
+def _cut_back(cfg: Configuration, target, head: int, deltas) -> Configuration:
+    """The end of a backward step from ``cfg`` whose entry is forged: deltas
+    of another length add cut to the shorter vector, and a counter driven
+    below zero raises."""
+    counters = _add_any(cfg.counters, deltas)
+    if min(counters, default=0) < 0:
+        raise NegativeCounterError(f"backward deltas {deltas} underflow {cfg.counters}")
+    return tuple.__new__(Configuration, (target, cfg.word, head, counters))
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,6 +246,12 @@ class CounterAutomaton:
         for t in self.transitions:
             index.setdefault(t.state, []).append(t)
         return index
+
+    @cached_property
+    def _kernel(self) -> tuple:
+        """``_counter_kernel(k)``, held here so that a step pays no cache
+        lookup."""
+        return _counter_kernel(self.k)
 
     @cached_property
     def _clean(self) -> bool:
@@ -405,7 +483,7 @@ def step(machine: CounterAutomaton, cfg: Configuration) -> Optional[Configuratio
     """One forward step; None when the table has no entry (the machine halts)."""
     check_configuration(machine, cfg)
     token = machine.scanned(cfg)
-    t = machine.table.get((cfg.state, token, _counter_kernel(machine.k)[0](cfg.counters)))
+    t = machine.table.get((cfg.state, token, machine._kernel[0](cfg.counters)))
     if t is None:
         return None
     counters = _add_any(cfg.counters, t.deltas)
@@ -430,10 +508,11 @@ def run(
 
     The configuration is validated once per run, at the start.  On a machine
     that passes ``validate`` with ``max_delta`` 1 no step can leave the model,
-    so a step is the k-counter kernel's status vector, one ``table`` probe and
-    the kernel's counter add, plus one ``Configuration`` built with
-    ``tuple.__new__`` when tracing.  On any other machine the add cuts a delta
-    vector of another length, as ``zip`` does, and every successor is checked.
+    so the run is the k-counter kernel's ``loop``: per step the status vector
+    and the counter add written out, one ``table`` probe, and one
+    ``Configuration`` built with ``tuple.__new__`` when tracing.  On any
+    other machine a plain loop runs instead: its add cuts a delta vector of
+    another length, as ``zip`` does, and it checks every successor.
     """
     word = tuple(word)
     alphabet = machine.alphabet
@@ -445,39 +524,36 @@ def run(
     cfg = machine.initial_configuration(word)
     check_configuration(machine, cfg)
     tokens = (LEFT_END, *word, RIGHT_END)
-    table, checked, new = machine.table, not machine._clean, tuple.__new__
-    statuses, _, add_counters = _counter_kernel(machine.k)
-    if checked:
-        add_counters = _add_any
-    state, head, counters = cfg.state, cfg.head, cfg.counters
     history = [cfg] if trace else None
-    steps = 0
-    while True:
-        t = table.get((state, tokens[head], statuses(counters)))
-        if t is None:
-            verdict = Verdict.ACCEPT if state in machine.accepting else Verdict.REJECT_HALT
-            return RunOutcome(verdict, steps, new(Configuration, (state, word, head, counters)), history)
-        nxt = add_counters(counters, t.deltas)
-        if checked and any(c < 0 for c in nxt):
-            return RunOutcome(
-                Verdict.REJECT_HALT,
-                steps,
-                new(Configuration, (state, word, head, counters)),
-                history,
-                diagnostic=f"transition {t.key} drives a counter below zero from {counters}",
-            )
-        if steps == fuel:
-            return RunOutcome(
-                Verdict.FUEL_EXHAUSTED, steps, new(Configuration, (state, word, head, counters)), history
-            )
-        state, head, counters = t.target, head + t.move, nxt
-        steps += 1
-        if checked or trace:
-            cfg = new(Configuration, (state, word, head, counters))
-            if checked:
-                check_configuration(machine, cfg)
+    if machine._clean:
+        t, steps, cfg = machine._kernel[3](machine.table.get, tokens, cfg, fuel, history)
+    else:
+        table, statuses, new = machine.table, machine._kernel[0], tuple.__new__
+        steps = 0
+        while True:
+            t = table.get((cfg.state, tokens[cfg.head], statuses(cfg.counters)))
+            if t is None:
+                break
+            counters = _add_any(cfg.counters, t.deltas)
+            if any(c < 0 for c in counters):
+                return RunOutcome(
+                    Verdict.REJECT_HALT,
+                    steps,
+                    cfg,
+                    history,
+                    diagnostic=f"transition {t.key} drives a counter below zero from {cfg.counters}",
+                )
+            if steps == fuel:
+                break
+            cfg = new(Configuration, (t.target, word, cfg.head + t.move, counters))
+            check_configuration(machine, cfg)
+            steps += 1
             if trace:
                 history.append(cfg)
+    if t is not None:
+        return RunOutcome(Verdict.FUEL_EXHAUSTED, steps, cfg, history)
+    verdict = Verdict.ACCEPT if cfg.state in machine.accepting else Verdict.REJECT_HALT
+    return RunOutcome(verdict, steps, cfg, history)
 
 
 def accepts(machine: CounterAutomaton, word: Iterable[Token], fuel: int = 10_000) -> bool:

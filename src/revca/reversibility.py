@@ -19,14 +19,11 @@ from .core import (
     CounterAutomaton,
     LEFT_END,
     MachineError,
-    NegativeCounterError,
     POSITIVE,
     RIGHT_END,
     StatusVector,
     Transition,
     ZERO,
-    _add_any,
-    _counter_kernel,
     all_words,
     check_configuration,
     run,
@@ -177,35 +174,24 @@ def step_back(
 ) -> Optional[Configuration]:
     """One backward step via the reverse table; None when no entry applies.
 
-    The step is the backward status vector from the counter kernel of
-    ``len(cfg.counters)`` counters, one probe of the table's rows on (state,
-    statuses) for the move and the entries to read after it, one token
-    probe, the counter add through the kernel, and a ``Configuration``
-    built with ``tuple.__new__``.  A forged entry whose deltas have another
-    length is added cut to the shorter vector, as ``run`` does on an
-    unclean machine.  A negative counter has a status that no row holds,
-    so it misses; a hit checks the number of counters and the head.  A miss,
-    or a hit that fails those checks, goes to ``check_configuration``, which
-    raises on any malformed configuration: whether ``cfg.state`` belongs to
-    the machine is only tested there.  The underflow of the backward deltas
-    is checked on the way out.
+    With ``machine.k`` counters the step is the k-counter kernel's ``back``:
+    the backward status vector written out, one probe of the table's rows
+    on (state, statuses) for the move and the entries to read after it, the
+    head moved and checked, one token probe, the deltas added in line with
+    the underflow check, and a ``Configuration`` built with
+    ``tuple.__new__``.  A forged entry whose deltas have another length is
+    added cut to the shorter vector, as ``run`` does on an unclean machine,
+    and backward deltas that underflow raise NegativeCounterError.  A
+    negative counter has a status that no row holds, so it misses.  A miss,
+    or a configuration with another number of counters or a head off the
+    tape, goes to ``check_configuration``, which raises on any malformed
+    configuration: whether ``cfg.state`` belongs to the machine is only
+    tested there.
     """
-    state, word, head, counters = cfg
-    right = len(word) + 1
-    _, backward, add_counters = _counter_kernel(len(counters))
-    row = table._rows.get((state, backward(counters)))
-    if row is not None and len(counters) == machine.k and 0 <= head <= right:
-        head += row[0]
-        if 0 <= head <= right:
-            out = row[1].get(LEFT_END if head == 0 else RIGHT_END if head == right else word[head - 1])
-            if out is not None:
-                try:
-                    counters = add_counters(counters, out.deltas)
-                except ValueError:
-                    counters = _add_any(counters, out.deltas)
-                if counters and min(counters) < 0:
-                    raise NegativeCounterError(f"backward deltas {out.deltas} underflow {cfg.counters}")
-                return tuple.__new__(Configuration, (out.target, word, head, counters))
+    if len(cfg.counters) == machine.k:
+        before = machine._kernel[4](table._rows, cfg)
+        if before is not None:
+            return before
     check_configuration(machine, cfg)
     return None
 
@@ -265,7 +251,7 @@ def verify_roundtrip(
         words = all_words(machine.alphabet, max_len)
         return next(filter(None, (roundtrip_word(machine, table, w, fuel) for w in words)), None)
     run(machine, (), min(fuel, 0))  # raises as the first word's run does on a bad fuel or start
-    statuses, _, add_counters = _counter_kernel(machine.k)
+    statuses, _, add_counters, _, _ = machine._kernel
     probe, new = machine.table.get, tuple.__new__
     inverted: set[tuple] = set()  # (id(t), post) of every step stepped back so far
 

@@ -1,6 +1,7 @@
 import gc
 import random
 from collections import Counter
+from itertools import product
 from operator import add
 from pathlib import Path
 
@@ -14,8 +15,10 @@ from revca.core import (
     CounterAutomaton,
     InvalidConfigurationError,
     InvalidTransitionEffectError,
+    LEFT_END,
     NegativeCounterError,
     POSITIVE,
+    RIGHT_END,
     Transition,
     UnknownTokenError,
     Verdict,
@@ -31,7 +34,7 @@ from revca.core import (
     validate,
 )
 from revca.formats import FormatError, parse_automaton, parse_mcm, serialize_automaton
-from revca.reversibility import derive_reverse, step_back
+from revca.reversibility import ReverseStep, derive_reverse, step_back
 from revca.valc import build_valc, valc_encode
 from revca.witnesses import build_eq_ab
 
@@ -55,8 +58,8 @@ def test_status_of_componentwise(values):
 
 @pytest.mark.parametrize("k", range(6))
 def test_counter_kernel_matches_references(k):
-    forward, backward, add_counters = _counter_kernel(k)
-    assert _counter_kernel(k) == (forward, backward, add_counters)  # generated once per k
+    forward, backward, add_counters, loop, back = _counter_kernel(k)
+    assert _counter_kernel(k) == (forward, backward, add_counters, loop, back)  # generated once per k
     rng = random.Random(k)
     for _ in range(200):
         counters = tuple(rng.randint(-2, 3) for _ in range(k))
@@ -70,6 +73,31 @@ def test_counter_kernel_matches_references(k):
             for kernel_call in (forward, backward, lambda c: add_counters(c, c)):
                 with pytest.raises(ValueError):
                     kernel_call((0,) * size)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_counter_kernel_steppers_are_built_once_and_refuse_other_lengths(k):
+    """``run`` and ``step_back`` reach the steppers through ``_kernel``; a
+    stepper that took a vector of another length without a ValueError would
+    step on the wrong counters, and ``back`` would skip the cut of a forged
+    entry's deltas to the shorter vector."""
+    *_, loop, back = _counter_kernel(k)
+    machine = make_automaton([], initial="q", accepting=[], k=k)
+    assert machine._kernel is _counter_kernel(k) is make_automaton([], "p", [], k)._kernel
+    word, zeros = ("a",), (0,) * k
+    for size in (k - 1, k + 1):
+        if size < 0:
+            continue
+        cfg = Configuration("q", word, 1, (0,) * size)
+        with pytest.raises(ValueError):
+            loop({}.get, (LEFT_END, *word, RIGHT_END), cfg, 5, None)
+        with pytest.raises(ValueError):
+            back({}, cfg)
+        forged = Transition("q", "a", (ZERO,) * k, "q", 1, (1,) * size)
+        with pytest.raises(ValueError):
+            loop({forged.key: forged}.get, (LEFT_END, *word, RIGHT_END), cfg._replace(counters=zeros), 5, None)
+        rows = {("q", (ZERO,) * k): [-1, {"a": ReverseStep("p", -1, (1,) * size)}]}
+        assert back(rows, Configuration("q", word, 2, zeros)) == Configuration("p", word, 1, (1,) * min(size, k))
 
 
 def test_validate_clean_example():
@@ -310,6 +338,42 @@ def test_run_matches_step_by_step_reference(machine, word, fuel):
         return
     out = run(machine, word, fuel, trace=True)
     assert (out.verdict, out.steps, out.final, out.trace, out.diagnostic) == expected
+
+
+@st.composite
+def clean_machines(draw):
+    """Machines that pass ``validate`` with ``max_delta`` 1, so that ``run``
+    takes the kernel's generated loop.  Each drawn (state, token) pair gets
+    a row at every status vector, so runs get past their first step: one
+    target and move, and one delta vector with its decrements dropped at
+    zero statuses.  There is no rightward move on the right endmarker, and
+    stationary moves can loop."""
+    k = draw(st.integers(min_value=0, max_value=4))
+    rows = []
+    for state, token in product("pqr", ["<", "a", "b", ">"]):
+        if draw(st.integers(min_value=0, max_value=3)):  # three pairs in four have a row
+            target = draw(st.sampled_from("pqr"))
+            move = 0 if token == ">" else draw(st.integers(min_value=0, max_value=1))
+            deltas = draw(st.tuples(*[st.integers(min_value=-1, max_value=1)] * k))
+            for statuses in product("ZP", repeat=k):
+                effect = tuple(d if s == "P" else max(d, 0) for s, d in zip(statuses, deltas))
+                rows.append((state, token, statuses, target, move, effect))
+    machine = make_automaton(rows, initial="p", accepting=["q"], k=k, alphabet="ab", states="pqr")
+    assert machine._clean
+    return machine
+
+
+@given(clean_machines(), st.text(alphabet="ab", max_size=5), st.integers(min_value=0, max_value=12), st.booleans())
+def test_clean_run_matches_step_by_step_reference(machine, word, fuel, trace):
+    # besides the drawn fuel: the run's own step count, where the machine
+    # halts just as the fuel runs out, and one step less
+    steps = _run_by_steps(machine, word, 40)[1]
+    for budget in {fuel, steps, max(steps - 1, 0)}:
+        verdict, n, final, history, diagnostic = _run_by_steps(machine, word, budget)
+        out = run(machine, word, budget, trace=trace)
+        assert (out.verdict, out.steps, out.final, out.trace, out.diagnostic) == (
+            verdict, n, final, history if trace else None, diagnostic
+        )
 
 
 def _validate_reference(machine):

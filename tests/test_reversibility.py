@@ -460,6 +460,73 @@ def test_step_back_cuts_forged_deltas_to_the_shorter_vector(size):
     assert recovered
 
 
+def _clean_case(k):
+    """A clean machine of k counters with a row at every key, its
+    transitions mirrored into a reverse table as ``_roundtrip_case`` mirrors
+    them, and the traces of its runs on every word up to length 3.  A letter
+    moves the head right, or keeps it one time in five, and the right
+    endmarker halts in a state of its own."""
+    rng = random.Random(k)
+    states = ["q0", "q1", "q2"]
+    rows = []
+    for state, token, statuses in product(states, ["<", "a", "b", ">"], product("ZP", repeat=k)):
+        if token == ">":
+            target, move = "h", 0
+        else:
+            target, move = rng.choice(states), 0 if token != "<" and rng.random() < 0.2 else 1
+        deltas = tuple(rng.choice([-1, 0, 1] if s == "P" else [0, 1]) for s in statuses)
+        rows.append((state, token, statuses, target, move, deltas))
+    machine = make_automaton(rows, "q0", ["h"], k, ["a", "b"], states + ["h"])
+    assert validate(machine) == []
+    entries = {}
+    for t in machine.transitions:
+        back = ReverseStep(t.state, -t.move, tuple(-d for d in t.deltas))
+        for post in _post_statuses(t):
+            entries.setdefault((t.target, t.token, post), back)
+    traces = [run(machine, word, 30, trace=True).trace for word in all_words(machine.alphabet, 3)]
+    return machine, entries, traces
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_step_back_replays_clean_runs_for_every_generated_k(k):
+    """Whole backward replays through the kernel's ``back`` of k counters,
+    on the mirrored table and on tables forged entry by entry: deltas cut
+    short or made longer, deltas that underflow, and moves that can leave
+    the tape past either endmarker.  Every configuration of a trace is
+    stepped back from as well, and so is each with another number of
+    counters or with a negative counter."""
+    machine, entries, traces = _clean_case(k)
+    forgeries = [
+        lambda out, i: out,
+        lambda out, i: out._replace(deltas=out.deltas + (i % 2,)),
+        lambda out, i: out._replace(move=(-3, -1, 0, 1, 3)[i % 5]),
+    ]
+    if k:
+        forgeries += [
+            lambda out, i: out._replace(deltas=out.deltas[: i % k]),
+            lambda out, i: out._replace(deltas=tuple(d - 2 * (i % 3 == 0) for d in out.deltas)),
+        ]
+    hits = 0
+    for forge in forgeries:
+        table = ReverseTable({key: forge(out, i) for i, (key, out) in enumerate(entries.items())})
+        for trace in traces:
+            cfg = trace[-1]
+            for _ in trace[1:]:
+                got = _outcome(step_back, machine, table, cfg)
+                assert got == _outcome(_step_back_reference, machine, table, cfg)
+                if type(got) is not Configuration:
+                    break
+                cfg, hits = got, hits + 1
+            for cfg in trace:
+                c = cfg.counters
+                for counters in (c, c + (0,), c[1:], (-1,) + c[1:], c[:-1] + (-1,)):
+                    any_cfg = cfg._replace(counters=counters)
+                    assert _outcome(step_back, machine, table, any_cfg) == _outcome(
+                        _step_back_reference, machine, table, any_cfg
+                    )
+    assert hits
+
+
 def test_forward_and_backward_steps_build_configurations():
     m = build_balanced(4)
     table = derive_reverse(m).table
