@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import cache, partial
 from itertools import product as iproduct
-from operator import add, sub
+from operator import sub
 from typing import Optional
 
 from .core import (
@@ -34,7 +34,6 @@ from .core import (
     Transition,
     ZERO,
     _reachable_machine,
-    status_of,
     validate,
 )
 from .reversibility import ReverseStep, ReverseTable, _stationary_scan
@@ -180,7 +179,8 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
     the normalized table at a state that the initial state or a macro-step
     reaches, the maximal stationary run plus one moving step and emits it as
     a single transition (a halting run stays stationary and is emitted with
-    the deltas gathered so far).
+    the deltas gathered so far).  A moving key is its own macro-step; from a
+    stationary one ``_macro_step`` replays on the kernel's generated loop.
 
     A macro-step spans at most ell + 1 unit steps, so it changes a source
     counter by some S in [-c, c], and its stored value by floor((r + S) / c)
@@ -210,8 +210,10 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
 
     def rows(state):
         for t in norm.outgoing.get(state, ()):
-            target, move, deltas = _macro_step(norm, state, t.token, t.statuses, ell)
-            yield t.token, t.statuses, target, move, deltas
+            if t.move:  # a moving seed is its own macro-step
+                yield t.token, t.statuses, t.target, 1, t.deltas
+            else:
+                yield t.token, t.statuses, *_macro_step(norm, state, t.token, t.statuses, ell)
 
     out = _reachable_machine(
         norm.initial, rows, norm.accepting.__contains__, norm.alphabet, norm.k,
@@ -225,31 +227,25 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
 
 def _macro_step(norm, state, token, statuses, ell):
     """Replay one macro-step of the normalized machine from a seed, which is
-    a key of its table.
+    a key of its table, on the kernel's ``loop``.
 
+    The tape has two cells, ``token`` and then None, which no key reads, so
+    the replay stops when the head moves on, when the machine halts, or when
+    the fuel of ell + 1 steps runs out; no history is kept.  The seed's
+    stand-in counters sit at head 0 and have the seed's own statuses.
     Returns (target, move, total deltas).  Raises when the stationary run
-    exceeds ell, which contradicts the quasi-real-time premise.  The seed's
-    stand-in counters have the seed's own statuses, so the first probe uses
-    ``statuses`` as given.
+    exceeds ell, which contradicts the quasi-real-time premise.
     """
-    table = norm.table
-    counters = start = tuple(1 if s == POSITIVE else 0 for s in statuses)
-    current = state
-    stationary = 0
-    t = table.get((current, token, statuses))
-    while t is not None:
-        counters = tuple(map(add, counters, t.deltas))
-        current = t.target
-        if t.move == 1:
-            return current, 1, tuple(map(sub, counters, start))
-        stationary += 1
-        if stationary > ell:
-            raise NotQuasiRealtimeError(
-                f"more than {ell} consecutive stationary moves from seed "
-                f"({state!r}, {token!r}, {''.join(statuses)})"
-            )
-        t = table.get((current, token, status_of(counters)))
-    return current, 0, tuple(map(sub, counters, start))
+    start = tuple(1 if s == POSITIVE else 0 for s in statuses)
+    _, steps, (target, _, head, counters) = norm._kernel[2](
+        norm.table.get, (token, None), (state, None, 0, start), ell + 1, None
+    )
+    if steps > ell and not head:
+        raise NotQuasiRealtimeError(
+            f"more than {ell} consecutive stationary moves from seed "
+            f"({state!r}, {token!r}, {''.join(statuses)})"
+        )
+    return target, head, tuple(map(sub, counters, start))
 
 
 def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterAutomaton:

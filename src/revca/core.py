@@ -105,27 +105,30 @@ _NEGATIVE = object()  # the backward status of a negative counter; no table row 
 
 @cache
 def _counter_kernel(k: int):
-    """(forward, backward, add, loop, back): straight-line counter code for
-    exactly k counters, generated once per k the way
-    ``collections.namedtuple`` generates its methods.  On CPython a
-    comprehension is a call of its own, several times the cost of the same
-    tuple written out, and so is every helper a step calls.
+    """(forward, add, loop, back): straight-line counter code for exactly k
+    counters, generated once per k the way ``collections.namedtuple``
+    generates its methods.  On CPython a comprehension is a call of its own,
+    several times the cost of the same tuple written out, and so is every
+    helper a step calls.
 
     ``forward(counters)`` is ``status_of`` for counters known not to be
-    negative; ``backward(counters)`` gives ``_NEGATIVE`` for a negative
-    counter; ``add(counters, deltas)`` adds two vectors of length k.  The
+    negative; ``add(counters, deltas)`` adds two vectors of length k.  The
     two steppers write those expressions out in their own bodies:
 
-    - ``loop(get, tokens, cfg, fuel, history)`` is ``run``'s forward loop on
-      a clean machine, from ``cfg`` over ``tokens`` (the word between its
-      endmarkers), with ``get`` the table's probe.  It appends each
-      configuration it reaches to ``history`` unless that is None, and
-      returns (t, steps, final): t is None when the machine halts, else it
-      is the transition that the fuel did not let fire.
+    - ``loop(get, tokens, cfg, fuel, history)`` is the forward loop of a
+      clean machine, from ``cfg`` over ``tokens``, with ``get`` the table's
+      probe.  It appends each configuration it reaches to ``history`` unless
+      that is None, and returns (t, steps, final): t is None when the
+      machine halts, else it is the transition that the fuel did not let
+      fire.  ``run`` hands it the word between its endmarkers; ``speedup``
+      replays a macro-step on the two cells (token, None), which no key
+      reads, so the replay ends when the head moves on.
     - ``back(rows, cfg)`` is ``step_back``'s hit path on a reverse table's
       ``_rows``: the configuration before ``cfg``, or None where the row,
-      the head or the token misses.  An entry whose deltas have another
-      length, or drive a counter below zero, goes to ``_cut_back``.
+      the head or the token misses.  Its backward statuses read a negative
+      counter as ``_NEGATIVE``, which no row holds.  An entry whose deltas
+      have another length, or drive a counter below zero, goes to
+      ``_cut_back``.
 
     Each raises ValueError on a counter vector of another length, and
     ``add`` and ``loop`` on a delta vector of another length.
@@ -150,9 +153,6 @@ def _counter_kernel(k: int):
         f"def forward(counters):\n"
         f"    {counters} = counters\n"
         f"    return {forward}\n"
-        f"def backward(counters):\n"
-        f"    {counters} = counters\n"
-        f"    return {backward}\n"
         f"def add(counters, deltas):\n"
         f"    {counters} = counters\n"
         f"    {deltas} = deltas\n"
@@ -197,20 +197,14 @@ def _counter_kernel(k: int):
         "Configuration": Configuration, "new": tuple.__new__, "cut": _cut_back, "__name__": __name__,
     }
     exec(source, namespace)
-    return tuple(namespace[name] for name in ("forward", "backward", "add", "loop", "back"))
-
-
-def _add_any(counters, deltas) -> tuple[int, ...]:
-    """The counter add of a machine that may fail ``validate``: a delta vector
-    of another length is cut to the shorter one, as ``zip`` does."""
-    return tuple(map(add, counters, deltas))
+    return tuple(namespace[name] for name in ("forward", "add", "loop", "back"))
 
 
 def _cut_back(cfg: Configuration, target, head: int, deltas) -> Configuration:
     """The end of a backward step from ``cfg`` whose entry is forged: deltas
     of another length add cut to the shorter vector, and a counter driven
     below zero raises."""
-    counters = _add_any(cfg.counters, deltas)
+    counters = tuple(map(add, cfg.counters, deltas))
     if min(counters, default=0) < 0:
         raise NegativeCounterError(f"backward deltas {deltas} underflow {cfg.counters}")
     return tuple.__new__(Configuration, (target, cfg.word, head, counters))
@@ -480,13 +474,18 @@ def check_configuration(machine: CounterAutomaton, cfg: Configuration) -> None:
 
 
 def step(machine: CounterAutomaton, cfg: Configuration) -> Optional[Configuration]:
-    """One forward step; None when the table has no entry (the machine halts)."""
+    """One forward step; None when the table has no entry (the machine halts).
+
+    ``cfg`` is checked first.  A delta vector of another length, which only
+    a machine that fails ``validate`` holds, is added cut to the shorter
+    vector, as ``zip`` does.
+    """
     check_configuration(machine, cfg)
     token = machine.scanned(cfg)
     t = machine.table.get((cfg.state, token, machine._kernel[0](cfg.counters)))
     if t is None:
         return None
-    counters = _add_any(cfg.counters, t.deltas)
+    counters = tuple(map(add, cfg.counters, t.deltas))
     if any(c < 0 for c in counters):
         raise InvalidTransitionEffectError(
             f"transition {t.key} drives a counter below zero from {cfg.counters}"
@@ -510,9 +509,10 @@ def run(
     that passes ``validate`` with ``max_delta`` 1 no step can leave the model,
     so the run is the k-counter kernel's ``loop``: per step the status vector
     and the counter add written out, one ``table`` probe, and one
-    ``Configuration`` built with ``tuple.__new__`` when tracing.  On any
-    other machine a plain loop runs instead: its add cuts a delta vector of
-    another length, as ``zip`` does, and it checks every successor.
+    ``Configuration`` built with ``tuple.__new__`` when tracing.  Any other
+    machine is run through ``step``, which checks every configuration it is
+    handed and cuts a delta vector of another length, as ``zip`` does; the
+    error it raises on an underflow becomes the diagnosed reject.
     """
     word = tuple(word)
     alphabet = machine.alphabet
@@ -523,33 +523,21 @@ def run(
         raise ValueError("fuel must be non-negative")
     cfg = machine.initial_configuration(word)
     check_configuration(machine, cfg)
-    tokens = (LEFT_END, *word, RIGHT_END)
     history = [cfg] if trace else None
     if machine._clean:
-        t, steps, cfg = machine._kernel[3](machine.table.get, tokens, cfg, fuel, history)
+        tokens = (LEFT_END, *word, RIGHT_END)
+        t, steps, cfg = machine._kernel[2](machine.table.get, tokens, cfg, fuel, history)
     else:
-        table, statuses, new = machine.table, machine._kernel[0], tuple.__new__
         steps = 0
-        while True:
-            t = table.get((cfg.state, tokens[cfg.head], statuses(cfg.counters)))
-            if t is None:
-                break
-            counters = _add_any(cfg.counters, t.deltas)
-            if any(c < 0 for c in counters):
-                return RunOutcome(
-                    Verdict.REJECT_HALT,
-                    steps,
-                    cfg,
-                    history,
-                    diagnostic=f"transition {t.key} drives a counter below zero from {cfg.counters}",
-                )
-            if steps == fuel:
-                break
-            cfg = new(Configuration, (t.target, word, cfg.head + t.move, counters))
-            check_configuration(machine, cfg)
-            steps += 1
-            if trace:
-                history.append(cfg)
+        try:
+            # t is the successor, which the fuel may not let the run take
+            while (t := step(machine, cfg)) is not None and steps < fuel:
+                cfg = t
+                steps += 1
+                if trace:
+                    history.append(cfg)
+        except InvalidTransitionEffectError as exc:
+            return RunOutcome(Verdict.REJECT_HALT, steps, cfg, history, diagnostic=str(exc))
     if t is not None:
         return RunOutcome(Verdict.FUEL_EXHAUSTED, steps, cfg, history)
     verdict = Verdict.ACCEPT if cfg.state in machine.accepting else Verdict.REJECT_HALT

@@ -28,9 +28,9 @@ class FormatError(Exception):
 
 def _content_fields(text: str):
     """(line number, whitespace-separated fields) of each line that holds
-    more than a comment."""
+    more than a comment.  Only lines that hold a ``#`` are cut at it."""
     for no, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.partition("#")[0].split()
+        fields = (raw.partition("#")[0] if "#" in raw else raw).split()
         if fields:
             yield no, fields
 
@@ -88,11 +88,10 @@ def parse_automaton(text: str) -> CounterAutomaton:
 
     Each distinct status and delta field is checked and turned into a tuple
     once, at the first line that holds it, and every later line with the
-    same field shares that tuple.  Only lines that hold a ``#`` are cut at
-    it.  The machine is validated by ``defects_by_transition``, whose
-    whole-table checks answer first; its per-transition pass runs only to
-    explain a failure, and the first transition it blames gives the line
-    number of the error.
+    same field shares that tuple.  The machine is validated by
+    ``defects_by_transition``, whose whole-table checks answer first; its
+    per-transition pass runs only to explain a failure, and the first
+    transition it blames gives the line number of the error.
     """
     header: _Header = {}
     transitions = []
@@ -101,10 +100,7 @@ def parse_automaton(text: str) -> CounterAutomaton:
     status_fields: dict[str, tuple[str, ...]] = {}
     delta_fields: dict[str, tuple[int, ...]] = {}
     new = tuple.__new__
-    for no, raw in enumerate(text.splitlines(), start=1):
-        fields = (raw.partition("#")[0] if "#" in raw else raw).split()
-        if not fields:
-            continue
+    for no, fields in _content_fields(text):
         tag = fields[0]
         if tag == "t":
             if k is None:

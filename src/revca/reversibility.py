@@ -189,7 +189,7 @@ def step_back(
     tested there.
     """
     if len(cfg.counters) == machine.k:
-        before = machine._kernel[4](table._rows, cfg)
+        before = machine._kernel[3](table._rows, cfg)
         if before is not None:
             return before
     check_configuration(machine, cfg)
@@ -251,7 +251,7 @@ def verify_roundtrip(
         words = all_words(machine.alphabet, max_len)
         return next(filter(None, (roundtrip_word(machine, table, w, fuel) for w in words)), None)
     run(machine, (), min(fuel, 0))  # raises as the first word's run does on a bad fuel or start
-    statuses, _, add_counters, _, _ = machine._kernel
+    statuses, add_counters, _, _ = machine._kernel
     probe, new = machine.table.get, tuple.__new__
     inverted: set[tuple] = set()  # (id(t), post) of every step stepped back so far
 

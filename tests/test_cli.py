@@ -148,6 +148,26 @@ def test_cli_speedup(tmp_path, capsys):
     assert rc == 0 and "steps=5" in out
 
 
+def test_cli_speedup_negative_ell_exit_2(tmp_path, capsys):
+    out_path = tmp_path / "fast.rca"
+    assert main(["speedup", str(MACHINES / "toy_stationary.rca"), "--ell", "-1", "-o", str(out_path)]) == 2
+    assert capsys.readouterr().err == "error: ell must be non-negative\n"
+    assert not out_path.exists()
+
+
+def test_cli_run_reports_a_diagnosed_reject_on_stderr(tmp_path, capsys):
+    """An extended machine whose decrement by 2 meets a counter at 1."""
+    path = tmp_path / "underflow.rca"
+    path.write_text(
+        "revca-format 1\ncounters 1\nmaxdelta 2\nalphabet a\nstates q0 q1\ninitial q0\naccepting q1\n"
+        "t q0 < Z -> q1 1 1\nt q1 a P -> q1 1 -2\n"
+    )
+    assert main(["run", str(path), "a"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "REJECT steps=1\n"
+    assert captured.err == "transition ('q1', 'a', ('P',)) drives a counter below zero from (1,)\n"
+
+
 def test_cli_product(tmp_path, capsys):
     eq = tmp_path / "eq.rca"
     assert main(["example", "eq-ab", "-o", str(eq)]) == 0

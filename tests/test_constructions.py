@@ -21,7 +21,7 @@ from revca.constructions import (
     remove_initial_left_loops,
     speedup,
 )
-from revca.core import POSITIVE, Transition, Verdict, all_words, make_automaton, run, status_of, validate
+from revca.core import MachineError, POSITIVE, Transition, Verdict, all_words, make_automaton, run, status_of, validate
 from revca.formats import parse_automaton
 from revca.mcm import hartmanis_example
 from revca.reversibility import (
@@ -506,6 +506,46 @@ def test_macro_step_matches_reference():
             refusals += isinstance(got, str)
             outcomes += 1
     assert 0 < refusals < outcomes
+
+
+def _stationary_chain(k, stationary, moves):
+    """A machine whose seed ('s0', 'a') runs ``stationary`` stationary steps
+    on 'a' and then moves on or halts.  The seed has a zero first counter,
+    every step adds 1 to every counter, and every later step reads all
+    counters positive, so each step is keyed on the statuses it meets."""
+    seed = ("Z",) + ("P",) * (k - 1) if k else ()
+    rows = [(f"s{i}", "a", seed if i == 0 else ("P",) * k, f"s{i + 1}", 0, (1,) * k) for i in range(stationary)]
+    if moves:
+        rows.append((f"s{stationary}", "a", seed if stationary == 0 else ("P",) * k, "t", 1, (1,) * k))
+    return make_automaton(rows, initial="s0", accepting=[], k=k, alphabet={"a"}), seed
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("k", [0, 2])
+def test_macro_step_allows_ell_stationary_steps_and_no_more(k, ell):
+    """ell stationary steps make a macro-step whether the run then halts or
+    moves on; one more stationary step raises either way, as the replay's
+    fuel of ell + 1 steps runs out or the run halts after it."""
+    for moves in (False, True):
+        machine, seed = _stationary_chain(k, ell, moves)
+        expected = ("t", 1, (ell + 1,) * k) if moves else (f"s{ell}", 0, (ell,) * k)
+        assert _macro_step(machine, "s0", "a", seed, ell) == expected
+        machine, seed = _stationary_chain(k, ell + 1, moves)
+        message = f"more than {ell} consecutive stationary moves from seed ('s0', 'a', {''.join(seed)})"
+        with pytest.raises(NotQuasiRealtimeError) as err:
+            _macro_step(machine, "s0", "a", seed, ell)
+        assert str(err.value) == message
+
+
+def test_speedup_and_normalize_refuse_a_machine_that_fails_validate():
+    m = make_automaton(
+        [("q0", "<", "Z", "q1", 1, (0,)), ("q1", "a", "Z", "q1", 1, (-1,))],
+        initial="q0", accepting=["q1"], k=1,
+    )
+    with pytest.raises(MachineError, match="^speedup needs a clean machine: .*decrement on zero status"):
+        speedup(m, 1)
+    with pytest.raises(MachineError, match="^normalize_extended needs a clean machine: .*decrement on zero"):
+        normalize_extended(m)
 
 
 @pytest.mark.parametrize(

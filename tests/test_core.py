@@ -16,6 +16,7 @@ from revca.core import (
     InvalidConfigurationError,
     InvalidTransitionEffectError,
     LEFT_END,
+    MachineError,
     NegativeCounterError,
     POSITIVE,
     RIGHT_END,
@@ -23,7 +24,6 @@ from revca.core import (
     UnknownTokenError,
     Verdict,
     ZERO,
-    _NEGATIVE,
     _counter_kernel,
     all_words,
     make_automaton,
@@ -58,19 +58,18 @@ def test_status_of_componentwise(values):
 
 @pytest.mark.parametrize("k", range(6))
 def test_counter_kernel_matches_references(k):
-    forward, backward, add_counters, loop, back = _counter_kernel(k)
-    assert _counter_kernel(k) == (forward, backward, add_counters, loop, back)  # generated once per k
+    forward, add_counters, loop, back = _counter_kernel(k)
+    assert _counter_kernel(k) == (forward, add_counters, loop, back)  # generated once per k
     rng = random.Random(k)
     for _ in range(200):
         counters = tuple(rng.randint(-2, 3) for _ in range(k))
         deltas = tuple(rng.randint(-2, 2) for _ in range(k))
         natural = tuple(map(abs, counters))
         assert forward(natural) == status_of(natural)
-        assert backward(counters) == tuple([POSITIVE if c > 0 else ZERO if c == 0 else _NEGATIVE for c in counters])
         assert add_counters(counters, deltas) == tuple(map(add, counters, deltas))
     for size in (k - 1, k + 1):
         if size >= 0:
-            for kernel_call in (forward, backward, lambda c: add_counters(c, c)):
+            for kernel_call in (forward, lambda c: add_counters(c, c)):
                 with pytest.raises(ValueError):
                     kernel_call((0,) * size)
 
@@ -338,6 +337,60 @@ def test_run_matches_step_by_step_reference(machine, word, fuel):
         return
     out = run(machine, word, fuel, trace=True)
     assert (out.verdict, out.steps, out.final, out.trace, out.diagnostic) == expected
+
+
+def test_unclean_run_diagnoses_an_underflow_on_the_step_the_fuel_forbids():
+    """The underflow is found before the budget is read: with the fuel spent
+    on ``<``, the step that would drive the counter below zero still makes a
+    diagnosed reject, not FUEL_EXHAUSTED."""
+    m = make_automaton(
+        [("q0", "<", "Z", "q1", 1, (1,)), ("q1", "a", "P", "q1", 1, (-2,))],
+        initial="q0", accepting=["q1"], k=1, max_delta=2,
+    )
+    out = run(m, "a", 1)
+    assert (out.verdict, out.steps, out.final) == (Verdict.REJECT_HALT, 1, Configuration("q1", ("a",), 1, (1,)))
+    assert out.diagnostic == f"transition {('q1', 'a', (POSITIVE,))} drives a counter below zero from (1,)"
+
+
+def test_unclean_run_checks_a_successor_only_when_it_takes_it():
+    """A step into a state outside the machine raises once the run stands on
+    it: not when the fuel stops the run before that step, but when the step
+    is the last that the fuel allows."""
+    m = make_automaton(
+        [("q0", "<", "Z", "q1", 1, (0,)), ("q1", "a", "Z", "ghost", 1, (0,))],
+        initial="q0", accepting=[], k=1, states={"q0", "q1"},
+    )
+    out = run(m, "a", 1)
+    assert (out.verdict, out.steps, out.final) == (Verdict.FUEL_EXHAUSTED, 1, Configuration("q1", ("a",), 1, (0,)))
+    assert out.diagnostic is None
+    with pytest.raises(InvalidConfigurationError, match="'ghost' not in machine"):
+        run(m, "a", 2)
+
+
+def test_rename_states_names_unreachable_states_after_reachable_ones_in_repr_order():
+    m = make_automaton(
+        [("q", "<", "", "r", 1, ""), ("u2", "a", "", "q", 1, ""), ("u1", "a", "", "u2", 1, "")],
+        initial="q", accepting=["u1"], k=0, states=["zz", "u2", "r", "u1", "q"],
+    )
+    renamed = rename_states(m)
+    # q and r are reached; u1, u2 and zz follow in repr order, and the
+    # leftovers' transitions follow the reached ones
+    assert renamed.transitions == (
+        Transition("s0", "<", (), "s1", 1, ()),
+        Transition("s2", "a", (), "s3", 1, ()),
+        Transition("s3", "a", (), "s0", 1, ()),
+    )
+    assert renamed.states == {"s0", "s1", "s2", "s3", "s4"}
+    assert renamed.accepting == {"s2"}
+
+
+def test_rename_states_refuses_a_transition_that_leaves_a_state_outside_the_machine():
+    m = make_automaton(
+        [("q", "<", "", "r", 1, ""), ("ghost", "a", "", "q", 1, "")],
+        initial="q", accepting=[], k=0, states=["q", "r"],
+    )
+    with pytest.raises(MachineError, match="leaves a state outside the machine"):
+        rename_states(m)
 
 
 @st.composite

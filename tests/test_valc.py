@@ -105,6 +105,65 @@ def test_reference_decider_rejects_shape_breaks():
     assert not valc_decide(m, shrunk)
 
 
+def _block(state, ell, run, phi=None):
+    """One configuration block; a block with no residue repeats its lead."""
+    close = f"[{state}|l={ell}]" if phi is None else f"[{state}|l={ell}|p={phi}]"
+    return f"[{state}|l={ell}] " + "a " * run + close
+
+
+FPRIME = "qf'"  # the parity padding's copy of the final state
+# the double golden history from 2**1: q0 at 2, then the parity padding
+DOUBLE_1 = str(valc_encode(doubling_example(), 1))
+# GOLDEN up to its q3 block, and its q4 block
+GOLDEN_TO_Q3 = " ".join(GOLDEN[: GOLDEN.index("[q4|l=1/2]")])
+GOLDEN_Q4 = _block("q4", "1/2", 8, 3)
+
+# (machine, history) near-misses of a golden history, one per rejection rule
+# of valc_decide, each breaking that rule alone where the rules allow it
+NEAR_MISSES = {
+    "no-configuration-block": ("double", "[q0'] a' [q0'] [q0'] a a [q0']"),
+    "configuration-block-opened-by-a-prefix-token": ("double", "[q0|l=2] a' [q0|l=2|p=0] [q0'] a a [q0']"),
+    "odd-block-count": ("double", f"[q0'] a' [q0'] {_block('q0', 2, 2, 0)} {_block('qf', 2, 4)}"),
+    "bad-last-block": ("double", "[q0|l=2] a' [q0|l=2|p=0] [qf|l=2] a a [qf|l=1]"),
+    "fprime-with-a-residue": ("double", DOUBLE_1.replace("[qf'|l=2|p=0]", "[qf'|l=2|p=1]")),
+    "fprime-not-second-to-last": (
+        "double",
+        f"[q0|l=2] a' [q0|l=2|p=0] {_block(FPRIME, 2, 2, 0)} {_block('qf', 1, 2, 0)} {_block('qf', 1, 2)}",
+    ),
+    # the run from 2**0 goes q0 q1 q2 q3 and then to qs, which has no rule
+    "state-with-no-rule": (
+        "hartmanis",
+        "[q0|l=2] a' [q0|l=2|p=0] "
+        + " ".join([_block("q1", 2, 2, 0), _block("q2", "1/2", 1, 1), _block("q3", 1, 1, 1)])
+        + f" {_block('qs', 1, 1, 0)} {_block('qf', 1, 1)}",
+    ),
+    "residue-on-a-multiplying-rule": ("double", "[q0|l=2] a' [q0|l=2|p=1] [qf|l=2] a a [qf|l=2]"),
+    # q4 divides 8 by 5 into qf; here q3 follows at 8 and runs on to qf
+    "wrong-successor-of-a-final-target": (
+        "hartmanis",
+        f"{GOLDEN_TO_Q3} {GOLDEN_Q4} "
+        + " ".join([_block("q3", 1, 8, 0), _block("q4", "1/2", 4, 4), _block("qf", 1, 4)]),
+    ),
+    # q3 halves 16 into q4; here q2 follows at 8 and runs on to qf
+    "wrong-successor-of-another-target": (
+        "hartmanis",
+        f"{GOLDEN_TO_Q3} "
+        + " ".join([_block("q2", "1/2", 8, 2), _block("q3", 1, 8, 0), _block("q4", "1/2", 4, 4), _block("qf", 1, 4)]),
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", NEAR_MISSES)
+def test_reference_decider_and_product_reject_each_near_miss(valc_machines, rule):
+    name, history = NEAR_MISSES[rule]
+    machine, _v1, _v2, prod = valc_machines[name]
+    word = history.split()
+    assert not valc_decide(machine, word)
+    # a token outside the product's alphabet occurs in no history, so the
+    # word is outside the product's language
+    assert not (prod.alphabet.issuperset(word) and run(prod, word, 5000).accepted)
+
+
 @pytest.mark.parametrize("pos", [0, 9, 11])
 @pytest.mark.parametrize("bad", ["[q0|l=1/0]", "[q0|l=x]", "[q0|l=2|p=x]", "[q0|l=2|p=]"])
 def test_reference_decider_rejects_bad_numbers(bad, pos):
