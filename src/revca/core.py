@@ -576,6 +576,8 @@ def rename_states(machine: CounterAutomaton) -> CounterAutomaton:
         for _, token, statuses, reached, move, deltas in sorted(outgoing.get(state, ()), key=by_key):
             target = names.get(reached)
             if target is None:
+                if reached not in machine.states:
+                    raise MachineError(f"rename_states: a transition targets {reached!r}, outside the machine")
                 target = names[reached] = f"s{len(order)}"
                 order.append(reached)
             transitions.append(new(Transition, (source, token, statuses, target, move, deltas)))

@@ -250,7 +250,8 @@ def verify_roundtrip(
     if not machine._clean:
         words = all_words(machine.alphabet, max_len)
         return next(filter(None, (roundtrip_word(machine, table, w, fuel) for w in words)), None)
-    run(machine, (), min(fuel, 0))  # raises as the first word's run does on a bad fuel or start
+    if fuel < 0:
+        raise ValueError("fuel must be non-negative")
     statuses, add_counters, _, _ = machine._kernel
     probe, new = machine.table.get, tuple.__new__
     inverted: set[tuple] = set()  # (id(t), post) of every step stepped back so far

@@ -45,56 +45,17 @@ def trail_token(state: str, ell: Fraction | str, phi: int) -> str:
 
 
 @dataclass(frozen=True)
-class ValcToken:
-    kind: str  # "a" | "a_marked" | "prefix" | "lead" | "trail"
-    state: Optional[str] = None
-    ell: Optional[Fraction] = None
-    phi: Optional[int] = None
-
-    def surface(self) -> str:
-        if self.kind == "a":
-            return LETTER
-        if self.kind == "a_marked":
-            return MARKED
-        if self.kind == "prefix":
-            return PREFIX
-        if self.kind == "lead":
-            return lead_token(self.state, self.ell)
-        return trail_token(self.state, self.ell, self.phi)
-
-
-@dataclass(frozen=True)
 class ValcWord:
-    tokens: tuple[ValcToken, ...]
+    tokens: tuple[str, ...]
 
     def surface(self) -> tuple[str, ...]:
-        return tuple(t.surface() for t in self.tokens)
+        return self.tokens
 
     def __str__(self) -> str:
-        return " ".join(self.surface())
+        return " ".join(self.tokens)
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-
-def parse_token(text: str) -> ValcToken:
-    if text == LETTER:
-        return ValcToken("a")
-    if text == MARKED:
-        return ValcToken("a_marked")
-    if text == PREFIX:
-        return ValcToken("prefix")
-    if not (text.startswith("[") and text.endswith("]")):
-        raise MachineError(f"bad history token {text!r}")
-    parts = text[1:-1].split("|")
-    try:
-        if len(parts) == 2 and parts[1].startswith("l="):
-            return ValcToken("lead", parts[0], Fraction(parts[1][2:]))
-        if len(parts) == 3 and parts[1].startswith("l=") and parts[2].startswith("p="):
-            return ValcToken("trail", parts[0], Fraction(parts[1][2:]), int(parts[2][2:]))
-    except (ValueError, ZeroDivisionError):
-        pass  # a malformed l= or p= number
-    raise MachineError(f"bad history token {text!r}")
 
 
 def fprime_name(machine: MultCounterMachine) -> str:
@@ -135,142 +96,46 @@ def _annotate(machine: MultCounterMachine, i: int, fuel: int):
     return configs, ells, phis
 
 
+def _history(i: int, configs, ells, phis) -> tuple[str, ...]:
+    """The surface tokens of an annotated run from 2**i."""
+    tokens = []
+    for p in range(i):
+        tokens += [PREFIX, *([LETTER] * 2**p if p else [MARKED]), PREFIX]
+    for j, ((state, n), ell, phi) in enumerate(zip(configs, ells, phis)):
+        lead = lead_token(state, ell)
+        tokens.append(lead)
+        tokens += [MARKED] if j == 0 and i == 0 else [LETTER] * n
+        tokens.append(lead if phi is None else trail_token(state, ell, phi))
+    return tuple(tokens)
+
+
 def valc_encode(machine: MultCounterMachine, i: int, fuel: int = 1_000) -> ValcWord:
     """Encode the accepting run from register 2**i as a history string.
 
     Fails when the run does not reach the final state within the fuel budget.
     """
-    configs, ells, phis = _annotate(machine, i, fuel)
-    tokens: list[ValcToken] = []
-    for p in range(i):
-        tokens.append(ValcToken("prefix"))
-        if p == 0:
-            tokens.append(ValcToken("a_marked"))
-        else:
-            tokens.extend([ValcToken("a")] * (2**p))
-        tokens.append(ValcToken("prefix"))
-    for j, ((state, n), ell, phi) in enumerate(zip(configs, ells, phis)):
-        tokens.append(ValcToken("lead", state, ell))
-        if j == 0 and i == 0:
-            tokens.append(ValcToken("a_marked"))
-        else:
-            tokens.extend([ValcToken("a")] * n)
-        if phi is None:
-            tokens.append(ValcToken("lead", state, ell))
-        else:
-            tokens.append(ValcToken("trail", state, ell, phi))
-    return ValcWord(tuple(tokens))
-
-
-# ---------------------------------------------------------------------------
-# independent reference decider
-
-
-def _split_blocks(tokens: tuple[str, ...]):
-    """Parse a surface-token sequence into (lead, run length, marked count,
-    trail) block tuples, or None when the shape is not block-structured."""
-    blocks = []
-    pos = 0
-    n = len(tokens)
-    while pos < n:
-        try:
-            lead = parse_token(tokens[pos])
-        except MachineError:
-            return None
-        if lead.kind not in ("prefix", "lead"):
-            return None
-        pos += 1
-        run = marked = 0
-        while pos < n and tokens[pos] in (LETTER, MARKED):
-            run += 1
-            marked += tokens[pos] == MARKED
-            pos += 1
-        if run == 0 or pos >= n:
-            return None
-        try:
-            trail = parse_token(tokens[pos])
-        except MachineError:
-            return None
-        if trail.kind not in ("prefix", "lead", "trail"):
-            return None
-        pos += 1
-        blocks.append((lead, run, marked, trail))
-    return blocks
+    return ValcWord(_history(i, *_annotate(machine, i, fuel)))
 
 
 def valc_decide(machine: MultCounterMachine, tokens) -> bool:
-    """Reference decider: checks a surface-token sequence against the history
-    definition directly, with no automaton involved."""
+    """Reference decider, with no automaton involved: a word is a history
+    exactly when it equals the encoding of the accepting run from 2**i, i
+    being half its number of prefix markers.  The machine is deterministic,
+    so that run is the only candidate."""
     tokens = tuple(tokens)
-    blocks = _split_blocks(tokens)
-    if not blocks:
+    i = tokens.count(PREFIX) // 2
+    if 2**i > len(tokens):  # the first configuration block alone holds 2**i letters
         return False
-    fprime = fprime_name(machine)
-    rule_map = machine.rule_map
-
-    # the marked letter is the whole run of the very first block
-    total_marked = sum(b[2] for b in blocks)
-    if total_marked != 1 or blocks[0][2] != 1 or blocks[0][1] != 1:
+    try:
+        # each step adds a block of at least three tokens, so a run longer
+        # than the word encodes to a longer word
+        configs, ells, phis = _annotate(machine, i, len(tokens))
+    except NotAcceptingError:
         return False
-
-    i = 0
-    while i < len(blocks) and blocks[i][0].kind == "prefix":
-        lead, run, _mk, trail = blocks[i]
-        if trail.kind != "prefix" or run != 2**i:
-            return False
-        i += 1
-    configs = blocks[i:]
-    if not configs:
+    # the encoding's length, counted before a register is written out in unary
+    if 2**i - 1 + 2 * i + sum(n + 2 for _, n in configs) != len(tokens):
         return False
-    if any(b[0].kind != "lead" for b in configs):
-        return False
-    if (i + len(configs)) % 2:
-        return False
-
-    # first configuration: the machine's initial state with register 2**i
-    lead0, run0, _mk, trail0 = configs[0]
-    if lead0.state != machine.initial or lead0.ell != 2 or run0 != 2**i:
-        return False
-
-    for j, (lead, run, _mk, trail) in enumerate(configs):
-        last = j == len(configs) - 1
-        if last:
-            if trail.kind != "lead" or trail != lead or lead.state != machine.final:
-                return False
-            break
-        if trail.kind != "trail" or trail.state != lead.state or trail.ell != lead.ell:
-            return False
-        state = lead.state
-        nxt_lead, nxt_run = configs[j + 1][0], configs[j + 1][1]
-        if state == fprime:
-            if trail.phi != 0:
-                return False
-            if nxt_lead.state != machine.final or nxt_lead.ell != 1 or nxt_run != run:
-                return False
-            if j + 1 != len(configs) - 1:
-                return False
-            continue
-        rule = rule_map.get(state)
-        if rule is None:
-            return False
-        if rule.mult < 1:
-            divisor = int(1 / rule.mult)
-            if trail.phi != run % divisor:
-                return False
-        elif trail.phi != 0:
-            return False
-        multiplied = (rule.mult * run).denominator == 1
-        target = rule.on_integer if multiplied else rule.on_fraction
-        expect_ell = rule.mult if multiplied else Fraction(1)
-        expect_run = int(rule.mult * run) if multiplied else run
-        if nxt_lead.ell != expect_ell or nxt_run != expect_run:
-            return False
-        if target == machine.final:
-            if nxt_lead.state not in (machine.final, fprime):
-                return False
-        elif nxt_lead.state != target:
-            return False
-    return True
+    return _history(i, configs, ells, phis) == tokens
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,13 @@ def test_rename_states_refuses_a_transition_that_leaves_a_state_outside_the_mach
         rename_states(m)
 
 
+def test_rename_states_refuses_a_transition_that_targets_a_state_outside_the_machine():
+    m = make_automaton([("q", "<", "", "ghost", 1, "")], initial="q", accepting=[], k=0, states={"q"})
+    assert any("ghost" in problem for problem in validate(m))
+    with pytest.raises(MachineError, match="targets 'ghost', outside the machine"):
+        rename_states(m)
+
+
 @st.composite
 def clean_machines(draw):
     """Machines that pass ``validate`` with ``max_delta`` 1, so that ``run``

@@ -224,6 +224,12 @@ def test_negative_max_len_is_rejected():
         check_quasi_realtime(m, 1, -1)
 
 
+def test_negative_fuel_is_rejected():
+    m = build_eq_ab()
+    with pytest.raises(ValueError, match="fuel must be non-negative"):
+        verify_roundtrip(m, derive_reverse(m).table, 2, fuel=-1)
+
+
 def test_step_back_ignores_a_move_past_the_right_endmarker():
     m = make_automaton([("q", "a", "Z", "q", 1, (0,))], initial="q", accepting=[], k=1)
     forged = ReverseTable({("q", "a", ("Z",)): ReverseStep("q", 2, (0,))})

@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from revca import valc
 from revca.core import MachineError, run, validate
 from revca.reversibility import derive_reverse, roundtrip_word
-from revca.mcm import doubling_example, hartmanis_example
+from revca.mcm import McmStatus, doubling_example, hartmanis_example, make_mcm, mcm_run
 from revca.valc import (
+    LETTER,
+    PREFIX,
     NotAcceptingError,
-    ValcToken,
     build_valc_part_slow,
-    parse_token,
+    lead_token,
+    trail_token,
     valc_decide,
     valc_encode,
 )
@@ -45,30 +48,27 @@ def mutate(tokens, rng, alphabet):
     return w
 
 
-def test_token_surfaces_roundtrip():
-    samples = [
-        ValcToken("a"),
-        ValcToken("a_marked"),
-        ValcToken("prefix"),
-        ValcToken("lead", "q2", Fraction(1, 2)),
-        ValcToken("trail", "q4", Fraction(1, 2), 3),
-    ]
-    for tok in samples:
-        assert parse_token(tok.surface()) == tok
-    assert ValcToken("lead", "q2", Fraction(1, 2)).surface() == "[q2|l=1/2]"
+def test_token_spellings():
+    assert lead_token("q2", Fraction(1, 2)) == "[q2|l=1/2]"
+    assert lead_token("q0", Fraction(2)) == "[q0|l=2]"
+    assert trail_token("q4", Fraction(1, 2), 3) == "[q4|l=1/2|p=3]"
+    # the acceptor builder spells a multiplier as text, the encoder as a
+    # Fraction: both give the same token
+    assert lead_token("q2", "1/2") == lead_token("q2", Fraction(1, 2))
+    assert trail_token("q4", "1/2", 3) == trail_token("q4", Fraction(1, 2), 3)
 
 
 def test_golden_string_token_for_token():
     word = valc_encode(hartmanis_example(), 4)
     assert list(word.surface()) == GOLDEN
     # the annotations called out in the worked example
-    tokens = [parse_token(t) for t in word.surface()]
-    trails = [t for t in tokens if t.kind == "trail"]
-    assert trails[2].phi == 1 and trails[2].state == "q2"   # 16 mod 3
-    assert trails[4].phi == 3 and trails[4].state == "q4"   # 8 mod 5
-    leads = [t for t in tokens if t.kind == "lead"]
-    assert leads[2].ell == Fraction(1, 2) and leads[2].state == "q2"
-    assert leads[3].ell == 1 and leads[3].state == "q3"
+    tokens = word.surface()
+    trails = [t for t in tokens if "|p=" in t]
+    assert trails[2] == "[q2|l=1/2|p=1]"   # 16 mod 3
+    assert trails[4] == "[q4|l=1/2|p=3]"   # 8 mod 5
+    leads = [t for t in tokens if "|l=" in t and "|p=" not in t]
+    assert leads[2] == "[q2|l=1/2]"
+    assert leads[3] == "[q3|l=1]"
 
 
 def test_encode_single_rule_machine_i0():
@@ -118,8 +118,9 @@ DOUBLE_1 = str(valc_encode(doubling_example(), 1))
 GOLDEN_TO_Q3 = " ".join(GOLDEN[: GOLDEN.index("[q4|l=1/2]")])
 GOLDEN_Q4 = _block("q4", "1/2", 8, 3)
 
-# (machine, history) near-misses of a golden history, one per rejection rule
-# of valc_decide, each breaking that rule alone where the rules allow it
+# (machine, history) near-misses of a golden history, each breaking one rule
+# of the history format alone where the format allows it; the product and
+# valc_decide must both reject every one
 NEAR_MISSES = {
     "no-configuration-block": ("double", "[q0'] a' [q0'] [q0'] a a [q0']"),
     "configuration-block-opened-by-a-prefix-token": ("double", "[q0|l=2] a' [q0|l=2|p=0] [q0'] a a [q0']"),
@@ -167,11 +168,63 @@ def test_reference_decider_and_product_reject_each_near_miss(valc_machines, rule
 @pytest.mark.parametrize("pos", [0, 9, 11])
 @pytest.mark.parametrize("bad", ["[q0|l=1/0]", "[q0|l=x]", "[q0|l=2|p=x]", "[q0|l=2|p=]"])
 def test_reference_decider_rejects_bad_numbers(bad, pos):
-    with pytest.raises(MachineError):
-        parse_token(bad)
     word = list(GOLDEN)
     word[pos] = bad
     assert not valc_decide(hartmanis_example(), word)
+
+
+def _unreachable(*args):
+    raise AssertionError("valc_decide went past its guard")
+
+
+def test_decider_refuses_a_prefix_longer_than_the_word_without_running(monkeypatch):
+    # 20 doubling blocks put 2**20 letters in the first configuration block
+    monkeypatch.setattr(valc, "_annotate", _unreachable)
+    assert not valc_decide(hartmanis_example(), [PREFIX] * 40)
+
+
+def test_decider_refuses_a_long_encoding_before_writing_it(monkeypatch):
+    # from 2**5, each pass through q1 halves the register and multiplies it
+    # by 7**4: the run accepts after 27 steps with 7**21 (about 2**59) in its
+    # register, well within the fuel that a 60-token word gives
+    m = make_mcm(
+        [
+            ("q0", 7, "q1", "qs"),
+            ("q1", Fraction(1, 2), "q2", "qf"),
+            ("q2", 7, "q3", "qs"),
+            ("q3", 7, "q4", "qs"),
+            ("q4", 7, "q5", "qs"),
+            ("q5", 7, "q1", "qs"),
+        ],
+    )
+    outcome = mcm_run(m, 5, 60)
+    assert outcome.status is McmStatus.HALTED_FINAL and outcome.final.n == 7**21
+    monkeypatch.setattr(valc, "_history", _unreachable)
+    assert not valc_decide(m, [PREFIX] * 10 + [LETTER] * 50)
+
+
+def test_decider_raises_the_encoders_state_name_collision():
+    m = make_mcm([("q0", 2, "qf", "qf")], states={"q0", "qf", "qf'"})
+    word = valc_encode(doubling_example(), 0).surface()
+    with pytest.raises(MachineError, match="collides with the parity padding"):
+        valc_encode(m, 0)
+    with pytest.raises(MachineError, match="collides with the parity padding"):
+        valc_decide(m, word)
+
+
+# SHA-256 of the encoder's histories, one per line: hartmanis from 2**1 to
+# 2**9 (its run from 2**0 rejects), then double from 2**0 to 2**9
+HISTORIES_SHA256 = "9ee31586311f9de8bf69ceacb7a15759791642d4e7760a584d6b7e0a3738fbbd"
+
+
+def test_encoded_histories_are_pinned():
+    import hashlib
+
+    digest = hashlib.sha256()
+    for machine, exponents in ((hartmanis_example(), range(1, 10)), (doubling_example(), range(10))):
+        for i in exponents:
+            digest.update((str(valc_encode(machine, i)) + "\n").encode())
+    assert digest.hexdigest() == HISTORIES_SHA256
 
 
 def test_part_machines_validate_and_reverse():
