@@ -207,13 +207,18 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
     # normalize_extended takes its residue modulus c from max_delta
     norm = normalize_extended(replace(machine, max_delta=c))
     norm = remove_initial_left_loops(norm)
+    # a replay reads keys only at a stationary seed and at the targets of
+    # stationary steps, so it steps on an index of those states' rows alone
+    stationary = [t for t in norm.transitions if not t.move]
+    reads = {t.state for t in stationary}.union(t.target for t in stationary)
+    replayed = replace(norm, transitions=tuple(t for state in reads for t in norm.outgoing.get(state, ())))
 
     def rows(state):
         for t in norm.outgoing.get(state, ()):
             if t.move:  # a moving seed is its own macro-step
                 yield t.token, t.statuses, t.target, 1, t.deltas
             else:
-                yield t.token, t.statuses, *_macro_step(norm, state, t.token, t.statuses, ell)
+                yield t.token, t.statuses, *_macro_step(replayed, state, t.token, t.statuses, ell)
 
     out = _reachable_machine(
         norm.initial, rows, norm.accepting.__contains__, norm.alphabet, norm.k,
@@ -227,9 +232,11 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
 
 def _macro_step(norm, state, token, statuses, ell):
     """Replay one macro-step of the normalized machine from a seed, which is
-    a key of its table, on the kernel's ``loop``.
+    a key of its table, on the kernel's ``loop`` over its ``_index``; ``norm``
+    need hold only the rows of the seed and of the states its stationary
+    steps reach.
 
-    The tape has two cells, ``token`` and then None, which no key reads, so
+    The tape has two cells, ``token`` and then None, whose id no key holds, so
     the replay stops when the head moves on, when the machine halts, or when
     the fuel of ell + 1 steps runs out; no history is kept.  The seed's
     stand-in counters sit at head 0 and have the seed's own statuses.
@@ -237,8 +244,8 @@ def _macro_step(norm, state, token, statuses, ell):
     exceeds ell, which contradicts the quasi-real-time premise.
     """
     start = tuple(1 if s == POSITIVE else 0 for s in statuses)
-    _, steps, (target, _, head, counters) = norm._kernel[2](
-        norm.table.get, (token, None), (state, None, 0, start), ell + 1, None
+    _, steps, (target, _, head, counters) = norm._kernel[3](
+        norm._index, (token, None), (state, None, 0, start), ell + 1, None
     )
     if steps > ell and not head:
         raise NotQuasiRealtimeError(

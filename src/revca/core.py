@@ -100,35 +100,49 @@ def status_of(counters: Iterable[int]) -> StatusVector:
     return tuple(out)
 
 
-_NEGATIVE = object()  # the backward status of a negative counter; no table row holds it
+def _status_slot(statuses: StatusVector) -> int:
+    """``1 << len(statuses)`` plus bit i for each POSITIVE status i: the
+    status bits that the counter kernel works out from the counters, under
+    one more bit for the vector's length.  A vector holding another
+    character than Z or P, which no step reads, gets 0, the slot of no
+    vector of Z and P."""
+    slot = 1 << len(statuses)
+    for i, status in enumerate(statuses):
+        if status == POSITIVE:
+            slot |= 1 << i
+        elif status != ZERO:
+            return 0
+    return slot
 
 
 @cache
 def _counter_kernel(k: int):
-    """(forward, add, loop, back): straight-line counter code for exactly k
-    counters, generated once per k the way ``collections.namedtuple``
-    generates its methods.  On CPython a comprehension is a call of its own,
-    several times the cost of the same tuple written out, and so is every
-    helper a step calls.
+    """(forward, bits, add, loop, back): straight-line counter code for
+    exactly k counters, generated once per k the way
+    ``collections.namedtuple`` generates its methods.  On CPython a
+    comprehension is a call of its own, several times the cost of the same
+    tuple written out, and so is every helper a step calls.
 
     ``forward(counters)`` is ``status_of`` for counters known not to be
-    negative; ``add(counters, deltas)`` adds two vectors of length k.  The
-    two steppers write those expressions out in their own bodies:
+    negative, and ``bits(counters)`` the same statuses as one int, bit i set
+    when counter i is positive; ``add(counters, deltas)`` adds two vectors
+    of length k.  The two steppers write those expressions out in their own
+    bodies and probe on integer keys:
 
-    - ``loop(get, tokens, cfg, fuel, history)`` is the forward loop of a
-      clean machine, from ``cfg`` over ``tokens``, with ``get`` the table's
-      probe.  It appends each configuration it reaches to ``history`` unless
-      that is None, and returns (t, steps, final): t is None when the
-      machine halts, else it is the transition that the fuel did not let
-      fire.  ``run`` hands it the word between its endmarkers; ``speedup``
-      replays a macro-step on the two cells (token, None), which no key
-      reads, so the replay ends when the head moves on.
+    - ``loop(index, cells, cfg, fuel, history)`` is the forward loop of a
+      clean machine on its ``_index``, from ``cfg`` over the tape ``cells``,
+      whose tokens it maps to ids once.  It appends each configuration it
+      reaches to ``history`` unless that is None, and returns (entry, steps,
+      final): entry is None when the machine halts, else it is the index
+      entry of the step that the fuel did not let fire.  ``run`` hands it
+      the word between its endmarkers; ``speedup`` replays a macro-step on
+      the two cells (token, None), whose None has an id that no key holds,
+      so the replay ends when the head moves on.
     - ``back(rows, cfg)`` is ``step_back``'s hit path on a reverse table's
-      ``_rows``: the configuration before ``cfg``, or None where the row,
-      the head or the token misses.  Its backward statuses read a negative
-      counter as ``_NEGATIVE``, which no row holds.  An entry whose deltas
-      have another length, or drive a counter below zero, goes to
-      ``_cut_back``.
+      ``_rows``: the configuration before ``cfg``, or None where the state,
+      the status slot, the head or the token misses, or a counter is
+      negative.  An entry whose deltas have another length, or drive a
+      counter below zero, goes to ``_cut_back``.
 
     Each raises ValueError on a counter vector of another length, and
     ``add`` and ``loop`` on a delta vector of another length.
@@ -144,7 +158,8 @@ def _counter_kernel(k: int):
         return "".join(f"{indent}{x} += {y}\n" for x, y in zip(c, d))
 
     forward = vector(f"P if {x} else Z" for x in c)
-    backward = vector(f"P if {x} > 0 else Z if {x} == 0 else N" for x in c)
+    bits = " + ".join(f"({x} > 0)" if i == 0 else f"(({x} > 0) << {i})" for i, x in enumerate(c)) or "0"
+    negative = "".join(f" or {x} < 0" for x in c)
     underflow = (
         f"    if {' or '.join(f'{x} < 0' for x in c)}:\n"
         f"        return cut(cfg, target, head, deltas)\n"
@@ -153,18 +168,24 @@ def _counter_kernel(k: int):
         f"def forward(counters):\n"
         f"    {counters} = counters\n"
         f"    return {forward}\n"
+        f"def bits(counters):\n"
+        f"    {counters} = counters\n"
+        f"    return {bits}\n"
         f"def add(counters, deltas):\n"
         f"    {counters} = counters\n"
         f"    {deltas} = deltas\n"
         f"    return {vector(f'{x} + {y}' for x, y in zip(c, d))}\n"
-        f"def loop(get, tokens, cfg, fuel, history):\n"
+        f"def loop(index, cells, cfg, fuel, history):\n"
+        f"    ids, cell_ids, keys = index\n"
+        f"    get, tokens = keys.get, [*map(cell_ids.__getitem__, cells)]\n"
         f"    state, word, head, {counters} = cfg\n"
+        f"    s = ids[state]\n"
         f"    steps = 0\n"
         f"    while True:\n"
-        f"        t = get((state, tokens[head], {forward}))\n"
-        f"        if t is None or steps == fuel:\n"
-        f"            return t, steps, new(Configuration, (state, word, head, {vector(c)}))\n"
-        f"        _, _, _, state, move, {deltas} = t\n"
+        f"        e = get(s + tokens[head] + {bits})\n"
+        f"        if e is None or steps == fuel:\n"
+        f"            return e, steps, new(Configuration, (state, word, head, {vector(c)}))\n"
+        f"        s, move, state, _, {deltas} = e\n"
         f"        head += move\n"
         f"{added('        ')}"
         f"        steps += 1\n"
@@ -172,9 +193,12 @@ def _counter_kernel(k: int):
         f"            history.append(new(Configuration, (state, word, head, {vector(c)})))\n"
         f"def back(rows, cfg):\n"
         f"    state, word, head, {counters} = cfg\n"
-        f"    row = rows.get((state, {backward}))\n"
+        f"    slots = rows.get(state)\n"
         f"    right = len(word) + 1\n"
-        f"    if row is None or not 0 <= head <= right:\n"
+        f"    if slots is None{negative} or not 0 <= head <= right:\n"
+        f"        return None\n"
+        f"    row = slots[{1 << k} + {bits}]\n"
+        f"    if row is None:\n"
         f"        return None\n"
         f"    move, out = row\n"
         f"    head += move\n"
@@ -193,11 +217,11 @@ def _counter_kernel(k: int):
         f"    return new(Configuration, (target, word, head, {vector(c)}))\n"
     )
     namespace = {
-        "P": POSITIVE, "Z": ZERO, "N": _NEGATIVE, "L": LEFT_END, "R": RIGHT_END,
+        "P": POSITIVE, "Z": ZERO, "L": LEFT_END, "R": RIGHT_END,
         "Configuration": Configuration, "new": tuple.__new__, "cut": _cut_back, "__name__": __name__,
     }
     exec(source, namespace)
-    return tuple(namespace[name] for name in ("forward", "add", "loop", "back"))
+    return tuple(namespace[name] for name in ("forward", "bits", "add", "loop", "back"))
 
 
 def _cut_back(cfg: Configuration, target, head: int, deltas) -> Configuration:
@@ -214,11 +238,13 @@ def _cut_back(cfg: Configuration, target, head: int, deltas) -> Configuration:
 class CounterAutomaton:
     """One-way counter automaton with a partial deterministic transition table.
 
-    ``transitions`` keeps declaration order (handy for table fidelity tests);
-    lookups go through the cached ``table``, and ``outgoing`` lists each
-    state's transitions in that order.  Ordinary machines have
-    ``max_delta`` 1; larger per-step counter changes are allowed for the
-    extended machines that the normalization construction removes.
+    ``transitions`` keeps declaration order (handy for table fidelity tests),
+    and ``outgoing`` lists each state's transitions in that order.  Runs of
+    a machine that passes ``validate`` step on the integer keys of the
+    cached ``_index``; the tuple-keyed ``table`` serves the probes whose
+    keys may fall outside it.  Ordinary machines have ``max_delta`` 1;
+    larger per-step counter changes are allowed for the extended machines
+    that the normalization construction removes.
     """
 
     states: frozenset
@@ -232,6 +258,10 @@ class CounterAutomaton:
 
     @cached_property
     def table(self) -> dict[tuple[State, Token, StatusVector], Transition]:
+        """Each transition under its (state, token, statuses) key, for the
+        probes whose keys may fall outside ``_index``: ``step`` and so the
+        runs of a machine that fails ``validate``, and the constructions'
+        key probes."""
         return {t.key: t for t in self.transitions}
 
     @cached_property
@@ -246,6 +276,30 @@ class CounterAutomaton:
         """``_counter_kernel(k)``, held here so that a step pays no cache
         lookup."""
         return _counter_kernel(self.k)
+
+    @cached_property
+    def _index(self) -> tuple:
+        """(ids, cells, steps): every step of a machine that passes
+        ``validate`` under one integer key, which the kernel's ``loop`` and
+        ``verify_roundtrip`` probe.  A state's id is its number times the
+        stride, a token's its number times 2**k, with None a token that no
+        key holds, and a step's key is state id + token id + status bits
+        (bit i set when counter i is positive).  Its entry is (target id,
+        move, target, transition, deltas).  Built on the first such run, so
+        a machine that is only constructed, checked or written builds none.
+        """
+        k = self.k
+        cells = {token: i << k for i, token in enumerate((LEFT_END, RIGHT_END, None, *self.alphabet))}
+        stride = len(cells) << k
+        ids = dict(zip(self.states, range(0, stride * len(self.states), stride)))
+        high, masks, steps = 1 << k, {}, {}
+        for t in self.transitions:
+            state, token, statuses, target, move, deltas = t
+            mask = masks.get(statuses)
+            if mask is None:
+                mask = masks[statuses] = _status_slot(statuses) - high
+            steps[ids[state] + cells[token] + mask] = (ids[target], move, target, t, deltas)
+        return ids, cells, steps
 
     @cached_property
     def _clean(self) -> bool:
@@ -507,12 +561,13 @@ def run(
 
     The configuration is validated once per run, at the start.  On a machine
     that passes ``validate`` with ``max_delta`` 1 no step can leave the model,
-    so the run is the k-counter kernel's ``loop``: per step the status vector
-    and the counter add written out, one ``table`` probe, and one
-    ``Configuration`` built with ``tuple.__new__`` when tracing.  Any other
-    machine is run through ``step``, which checks every configuration it is
-    handed and cuts a delta vector of another length, as ``zip`` does; the
-    error it raises on an underflow becomes the diagnosed reject.
+    so the run is the k-counter kernel's ``loop`` on the machine's ``_index``:
+    per step the status bits and the counter add written out, one probe on
+    an integer key, and one ``Configuration`` built with ``tuple.__new__``
+    when tracing.  Any other machine is run through ``step``, which checks
+    every configuration it is handed and cuts a delta vector of another
+    length, as ``zip`` does; the error it raises on an underflow becomes the
+    diagnosed reject.
     """
     word = tuple(word)
     alphabet = machine.alphabet
@@ -525,8 +580,7 @@ def run(
     check_configuration(machine, cfg)
     history = [cfg] if trace else None
     if machine._clean:
-        tokens = (LEFT_END, *word, RIGHT_END)
-        t, steps, cfg = machine._kernel[2](machine.table.get, tokens, cfg, fuel, history)
+        t, steps, cfg = machine._kernel[3](machine._index, (LEFT_END, *word, RIGHT_END), cfg, fuel, history)
     else:
         steps = 0
         try:

@@ -24,6 +24,7 @@ from .core import (
     StatusVector,
     Transition,
     ZERO,
+    _status_slot,
     all_words,
     check_configuration,
     run,
@@ -46,24 +47,45 @@ class ReverseTable:
 
     The move is operationally uniform per (state, statuses) so a backward
     machine can move its head before reading.  The first backward step or
-    ``move_for`` indexes ``entries`` into rows, (state, statuses) -> [move,
-    {token: step}], where the group's last entry sets the move; ``entries``
-    must not change after that.
+    ``move_for`` indexes ``entries`` into ``_rows``: per state a list of
+    slots, one per status vector at ``core._status_slot`` (its status bits
+    under a length bit), each None or [move, {token: step}], where the
+    group's last entry sets the move.  A backward step of k counters reads
+    only slots 2**k to 2**(k+1) - 1, so a key whose statuses have another
+    length is never read and shares no slot with a real key, and one whose
+    statuses hold another character than Z or P gets no slot.  A state's
+    list is as long as its longest status vector needs, and a step past its
+    end misses.  ``entries`` must not change after that.
     """
 
     entries: dict[tuple, ReverseStep] = field(default_factory=dict)
 
     @cached_property
-    def _rows(self) -> dict[tuple, list]:
-        rows: dict[tuple, list] = {}
+    def _rows(self) -> dict[object, list]:
+        rows: dict[object, list] = {}
+        slots_of: dict[StatusVector, int] = {}
         for (state, token, statuses), out in self.entries.items():
-            row = rows.setdefault((state, statuses), [out.move, {}])
-            row[0] = out.move
-            row[1][token] = out
+            slot = slots_of.get(statuses)
+            if slot is None:
+                slot = slots_of[statuses] = _status_slot(statuses)
+            if not slot:
+                continue
+            slots = rows.get(state)
+            if slots is None:
+                slots = rows[state] = [None] * (2 << len(statuses))
+            elif slot >= len(slots):
+                slots += [None] * ((2 << len(statuses)) - len(slots))
+            row = slots[slot]
+            if row is None:
+                slots[slot] = [out.move, {token: out}]
+            else:
+                row[0] = out.move
+                row[1][token] = out
         return rows
 
     def move_for(self, state, statuses: StatusVector) -> Optional[int]:
-        row = self._rows.get((state, statuses))
+        slots, slot = self._rows.get(state), _status_slot(statuses)
+        row = slots[slot] if slots is not None and slot < len(slots) else None
         return None if row is None else row[0]
 
 
@@ -175,23 +197,25 @@ def step_back(
     """One backward step via the reverse table; None when no entry applies.
 
     With ``machine.k`` counters the step is the k-counter kernel's ``back``:
-    the backward status vector written out, one probe of the table's rows
-    on (state, statuses) for the move and the entries to read after it, the
-    head moved and checked, one token probe, the deltas added in line with
-    the underflow check, and a ``Configuration`` built with
+    one probe of the table's rows on the state, the backward status bits
+    written out to pick the slot that holds the move and the entries to read
+    after it, the head moved and checked, one token probe, the deltas added
+    in line with the underflow check, and a ``Configuration`` built with
     ``tuple.__new__``.  A forged entry whose deltas have another length is
     added cut to the shorter vector, as ``run`` does on an unclean machine,
-    and backward deltas that underflow raise NegativeCounterError.  A
-    negative counter has a status that no row holds, so it misses.  A miss,
-    or a configuration with another number of counters or a head off the
-    tape, goes to ``check_configuration``, which raises on any malformed
-    configuration: whether ``cfg.state`` belongs to the machine is only
-    tested there.
+    and backward deltas that underflow raise NegativeCounterError.  A miss,
+    a negative counter, a head off the tape, or a configuration with another
+    number of counters, whose unpack in ``back`` raises ValueError (or
+    IndexError past the slots of a table of fewer counters), goes to
+    ``check_configuration``, which raises on any malformed configuration:
+    whether ``cfg.state`` belongs to the machine is only tested there.
     """
-    if len(cfg.counters) == machine.k:
-        before = machine._kernel[3](table._rows, cfg)
+    try:
+        before = machine._kernel[4](table._rows, cfg)
         if before is not None:
             return before
+    except (ValueError, IndexError):
+        pass
     check_configuration(machine, cfg)
     return None
 
@@ -234,13 +258,15 @@ def verify_roundtrip(
     when its target is ``t.state`` and its deltas undo ``t.deltas``.  So
     whether a step inverts depends on (``t``, ``post``) alone, and a step
     that inverts cannot underflow, since it gives back ``before``'s
-    counters.  The search keys each step on (``id(t)``, ``post``), ``t``
-    being held alive by ``machine.table``, and calls ``step_back`` on a
-    step's first sight only: a step that inverted once inverts every time,
-    and one that fails, or raises, ends the search at its first sight.  The
-    steps skipped all invert, so the first step that fails here is the
-    first that fails in the word's own run, and an error that ``step_back``
-    raises here is the one the replay raises.
+    counters.  The search keys each step on (``id(t)``, ``post``), with
+    ``post`` as its status bits, which name the k statuses one to one, and
+    ``t`` held alive by the entry of ``machine._index`` that the step was
+    read from.  It calls ``step_back`` on a step's first sight only: a step
+    that inverted once inverts every time, and one that fails, or raises,
+    ends the search at its first sight.  The steps skipped all invert, so
+    the first step that fails here is the first that fails in the word's
+    own run, and an error that ``step_back`` raises here is the one the
+    replay raises.
 
     A machine that fails ``validate`` or has a ``max_delta`` above 1 may
     move left or leave the model, so its words are still run one at a time.
@@ -252,47 +278,50 @@ def verify_roundtrip(
         return next(filter(None, (roundtrip_word(machine, table, w, fuel) for w in words)), None)
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
-    statuses, add_counters, _, _ = machine._kernel
-    probe, new = machine.table.get, tuple.__new__
+    _, bits, add_counters, _, _ = machine._kernel
+    ids, cells, index = machine._index
+    probe, new = index.get, tuple.__new__
     inverted: set[tuple] = set()  # (id(t), post) of every step stepped back so far
 
-    def read_cell(word, head, token, key) -> tuple[bool, Optional[tuple]]:
-        """Run ``word`` from ``key`` = (state, counters, steps) with the head
-        on cell ``head``, which holds ``token``, until it moves on: (True,
-        None) at the first step that does not invert, else False and the key
-        at which the head reaches the next cell, or None when the run halts
-        or runs out of fuel first.  A step's post statuses key it in
-        ``inverted`` and probe the table for the next step, so each status
-        vector is worked out once; configurations are built only for a step
+    def read_cell(word, head, cell, key) -> tuple[bool, Optional[tuple]]:
+        """Run ``word`` from ``key`` = (state id, counters, steps) with the
+        head on cell ``head``, whose token has the id ``cell``, until it
+        moves on: (True, None) at the first step that does not invert, else
+        False and the key at which the head reaches the next cell, or None
+        when the run halts or runs out of fuel first.  A step's post status
+        bits key it in ``inverted`` and probe the index for the next step,
+        so each is worked out once; configurations are built only for a step
         seen for the first time."""
-        state, counters, steps = key
-        post = statuses(counters)
+        s, counters, steps = key
+        post = bits(counters)
         while steps < fuel:
-            t = probe((state, token, post))
-            if t is None:
+            e = probe(s + cell + post)
+            if e is None:
                 break
+            s, move, state, t, deltas = e
             before = counters
-            state, counters, steps = t.target, add_counters(counters, t.deltas), steps + 1
-            post = statuses(counters)
+            counters, steps = add_counters(counters, deltas), steps + 1
+            post = bits(counters)
             step = (id(t), post)
             if step not in inverted:
-                after = new(Configuration, (state, word, head + t.move, counters))
+                after = new(Configuration, (state, word, head + move, counters))
                 if step_back(machine, table, after) != new(Configuration, (t.state, word, head, before)):
                     return True, None
                 inverted.add(step)
-            if t.move:
-                return False, (state, counters, steps)
+            if move:
+                return False, (s, counters, steps)
         return False, None
 
     letters = sorted(machine.alphabet)
-    pending = [((), (machine.initial, (0,) * machine.k, 0))]
+    left, right = cells[LEFT_END], cells[RIGHT_END]
+    pending = [((), (ids[machine.initial], (0,) * machine.k, 0))]
     for n in range(max_len + 1):
         level: dict[tuple, tuple[str, ...]] = {}
         for word, key in pending:
-            bad, child = read_cell(word, n, word[-1] if n else LEFT_END, key)
+            bad, child = read_cell(word, n, cells[word[-1]] if n else left, key)
             if child is not None and child not in level:
                 level[child] = word
-                bad = read_cell(word, n + 1, RIGHT_END, child)[0]
+                bad = read_cell(word, n + 1, right, child)[0]
             if bad:
                 return roundtrip_word(machine, table, word, fuel)
         pending = ((word + (letter,), key) for key, word in level.items() for letter in letters)

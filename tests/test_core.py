@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from revca.cli import main as cli_main
-from revca.constructions import normalize_extended, product_intersection
+from revca import reversibility
+from revca.constructions import normalize_extended, product_intersection, speedup
 from revca.core import (
     Configuration,
     CounterAutomaton,
@@ -25,6 +26,7 @@ from revca.core import (
     Verdict,
     ZERO,
     _counter_kernel,
+    _status_slot,
     all_words,
     make_automaton,
     rename_states,
@@ -34,7 +36,7 @@ from revca.core import (
     validate,
 )
 from revca.formats import FormatError, parse_automaton, parse_mcm, serialize_automaton
-from revca.reversibility import ReverseStep, derive_reverse, step_back
+from revca.reversibility import ReverseStep, ReverseTable, derive_reverse, step_back, verify_roundtrip
 from revca.valc import build_valc, valc_encode
 from revca.witnesses import build_eq_ab
 
@@ -58,18 +60,21 @@ def test_status_of_componentwise(values):
 
 @pytest.mark.parametrize("k", range(6))
 def test_counter_kernel_matches_references(k):
-    forward, add_counters, loop, back = _counter_kernel(k)
-    assert _counter_kernel(k) == (forward, add_counters, loop, back)  # generated once per k
+    forward, bits, add_counters, loop, back = _counter_kernel(k)
+    assert _counter_kernel(k) == (forward, bits, add_counters, loop, back)  # generated once per k
     rng = random.Random(k)
     for _ in range(200):
         counters = tuple(rng.randint(-2, 3) for _ in range(k))
         deltas = tuple(rng.randint(-2, 2) for _ in range(k))
         natural = tuple(map(abs, counters))
         assert forward(natural) == status_of(natural)
+        assert bits(natural) == _status_slot(status_of(natural)) - (1 << k) == sum(
+            1 << i for i, c in enumerate(natural) if c
+        )
         assert add_counters(counters, deltas) == tuple(map(add, counters, deltas))
     for size in (k - 1, k + 1):
         if size >= 0:
-            for kernel_call in (forward, lambda c: add_counters(c, c)):
+            for kernel_call in (forward, bits, lambda c: add_counters(c, c)):
                 with pytest.raises(ValueError):
                     kernel_call((0,) * size)
 
@@ -81,7 +86,7 @@ def test_counter_kernel_steppers_are_built_once_and_refuse_other_lengths(k):
     step on the wrong counters, and ``back`` would skip the cut of a forged
     entry's deltas to the shorter vector."""
     *_, loop, back = _counter_kernel(k)
-    machine = make_automaton([], initial="q", accepting=[], k=k)
+    machine = make_automaton([], initial="q", accepting=[], k=k, alphabet="a")
     assert machine._kernel is _counter_kernel(k) is make_automaton([], "p", [], k)._kernel
     word, zeros = ("a",), (0,) * k
     for size in (k - 1, k + 1):
@@ -89,13 +94,13 @@ def test_counter_kernel_steppers_are_built_once_and_refuse_other_lengths(k):
             continue
         cfg = Configuration("q", word, 1, (0,) * size)
         with pytest.raises(ValueError):
-            loop({}.get, (LEFT_END, *word, RIGHT_END), cfg, 5, None)
+            loop(machine._index, (LEFT_END, *word, RIGHT_END), cfg, 5, None)
         with pytest.raises(ValueError):
             back({}, cfg)
-        forged = Transition("q", "a", (ZERO,) * k, "q", 1, (1,) * size)
+        forged = make_automaton([("q", "a", (ZERO,) * k, "q", 1, (1,) * size)], "q", [], k)
         with pytest.raises(ValueError):
-            loop({forged.key: forged}.get, (LEFT_END, *word, RIGHT_END), cfg._replace(counters=zeros), 5, None)
-        rows = {("q", (ZERO,) * k): [-1, {"a": ReverseStep("p", -1, (1,) * size)}]}
+            loop(forged._index, (LEFT_END, *word, RIGHT_END), cfg._replace(counters=zeros), 5, None)
+        rows = ReverseTable({("q", "a", (ZERO,) * k): ReverseStep("p", -1, (1,) * size)})._rows
         assert back(rows, Configuration("q", word, 2, zeros)) == Configuration("p", word, 1, (1,) * min(size, k))
 
 
@@ -407,8 +412,11 @@ def clean_machines(draw):
     a row at every status vector, so runs get past their first step: one
     target and move, and one delta vector with its decrements dropped at
     zero statuses.  There is no rightward move on the right endmarker, and
-    stationary moves can loop."""
+    stationary moves can loop.  States are letters or, as in constructed
+    machines, tuples nested three deep, built anew at each use, so that
+    equal states are often distinct objects."""
     k = draw(st.integers(min_value=0, max_value=4))
+    shape = draw(st.sampled_from([str, _nested_state]))
     rows = []
     for state, token in product("pqr", ["<", "a", "b", ">"]):
         if draw(st.integers(min_value=0, max_value=3)):  # three pairs in four have a row
@@ -417,10 +425,17 @@ def clean_machines(draw):
             deltas = draw(st.tuples(*[st.integers(min_value=-1, max_value=1)] * k))
             for statuses in product("ZP", repeat=k):
                 effect = tuple(d if s == "P" else max(d, 0) for s, d in zip(statuses, deltas))
-                rows.append((state, token, statuses, target, move, effect))
-    machine = make_automaton(rows, initial="p", accepting=["q"], k=k, alphabet="ab", states="pqr")
+                rows.append((shape(state), token, statuses, shape(target), move, effect))
+    machine = make_automaton(
+        rows, initial=shape("p"), accepting=[shape("q")], k=k, alphabet="ab", states=map(shape, "pqr")
+    )
     assert machine._clean
     return machine
+
+
+def _nested_state(name: str) -> tuple:
+    """A new tuple object nested three deep, shaped like a product state."""
+    return (((name,), (ord(name),)), ((name,), (0,)))
 
 
 @given(clean_machines(), st.text(alphabet="ab", max_size=5), st.integers(min_value=0, max_value=12), st.booleans())
@@ -615,12 +630,20 @@ def test_constructions_keep_a_caller_paused_collector(collector_restored):
 def test_constructions_make_no_reference_cycles(collector_restored):
     # The pause is memory-safe only because reference counting alone frees
     # everything the constructions drop: nothing is left for the collector.
+    # speedup replays its macro-steps on the normalized machine's step index,
+    # and verify_roundtrip builds both indexes of the machine it sweeps.
     gc.collect()
     gc.disable()
     acceptor = build_valc(parse_mcm((MACHINES / "double.mcm").read_text()))
     parsed = parse_automaton(serialize_automaton(rename_states(acceptor)))
-    assert derive_reverse(parsed).reversible
-    del acceptor, parsed
+    verdict = derive_reverse(parsed)
+    assert verdict.reversible
+    table = verdict.table
+    assert verify_roundtrip(parsed, table, 3) is None
+    assert "_index" in vars(parsed) and "_rows" in vars(table)
+    fast = speedup(parse_automaton((MACHINES / "toy_stationary.rca").read_text()), 1)
+    assert fast.transitions
+    del acceptor, parsed, verdict, table, fast
     assert gc.collect() == 0
 
 
@@ -639,5 +662,40 @@ def test_backward_replay_makes_no_reference_cycles(collector_restored):
         start, cfg = cfg, step_back(acceptor, table, cfg)
         steps += 1
     assert start == acceptor.initial_configuration(start.word) and steps == outcome.steps + 1
+    assert verify_roundtrip(acceptor, table, 3) is None
+    assert "_index" in vars(acceptor) and "_rows" in vars(table)
     del machine, acceptor, table, outcome, start
     assert gc.collect() == 0
+
+
+def test_constructing_checking_and_writing_build_no_step_index(tmp_path, capsys, monkeypatch):
+    """Only a run builds a machine's integer step index, and only a step back
+    or ``move_for`` builds a reverse table's slots, so ``check`` builds
+    neither."""
+    eq_ab = build_eq_ab()
+    tables = [derive_reverse(eq_ab).table]
+    prod = product_intersection(eq_ab, eq_ab)
+    renamed = rename_states(prod)
+    path = tmp_path / "prod.rca"
+    path.write_text(serialize_automaton(renamed))
+    parsed = parse_automaton(path.read_text())
+    tables.append(derive_reverse(parsed).table)
+    checked = []
+
+    def derive_and_keep(machine):
+        verdict = derive_reverse(machine)
+        checked.append((machine, verdict.table))
+        return verdict
+
+    monkeypatch.setattr(reversibility, "derive_reverse", derive_and_keep)
+    assert cli_main(["check", str(path)]) == 0
+    capsys.readouterr()
+    (checked_machine, checked_table), = checked
+    machines = [eq_ab, prod, renamed, parsed, checked_machine]
+    tables.append(checked_table)
+    assert not any("_index" in vars(m) for m in machines)
+    assert not any("_rows" in vars(t) for t in tables)
+    # a run builds the index and a step back the slots, so the test can see them
+    outcome = run(checked_machine, "ab", 100)
+    assert step_back(checked_machine, checked_table, outcome.final) is not None
+    assert "_index" in vars(checked_machine) and "_rows" in vars(checked_table)

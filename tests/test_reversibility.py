@@ -466,12 +466,25 @@ def test_step_back_cuts_forged_deltas_to_the_shorter_vector(size):
     assert recovered
 
 
-def _clean_case(k):
+def _nested_state(name):
+    """A new tuple object nested three deep, shaped like a product state."""
+    return ((("start", name), (0,)), ((name,), (len(name),)))
+
+
+def _twin(state):
+    """``state`` with every tuple in it built anew: for a nested-tuple state,
+    an equal object that is not ``state`` and shares none of its tuples."""
+    return tuple(map(_twin, state)) if isinstance(state, tuple) else state
+
+
+def _clean_case(k, shape=str):
     """A clean machine of k counters with a row at every key, its
     transitions mirrored into a reverse table as ``_roundtrip_case`` mirrors
     them, and the traces of its runs on every word up to length 3.  A letter
     moves the head right, or keeps it one time in five, and the right
-    endmarker halts in a state of its own."""
+    endmarker halts in a state of its own.  Each state is ``shape`` of its
+    name, made anew at each use, so that ``_nested_state`` gives states of
+    a constructed machine's shape whose equal copies are distinct objects."""
     rng = random.Random(k)
     states = ["q0", "q1", "q2"]
     rows = []
@@ -481,8 +494,8 @@ def _clean_case(k):
         else:
             target, move = rng.choice(states), 0 if token != "<" and rng.random() < 0.2 else 1
         deltas = tuple(rng.choice([-1, 0, 1] if s == "P" else [0, 1]) for s in statuses)
-        rows.append((state, token, statuses, target, move, deltas))
-    machine = make_automaton(rows, "q0", ["h"], k, ["a", "b"], states + ["h"])
+        rows.append((shape(state), token, statuses, shape(target), move, deltas))
+    machine = make_automaton(rows, shape("q0"), [shape("h")], k, ["a", "b"], map(shape, states + ["h"]))
     assert validate(machine) == []
     entries = {}
     for t in machine.transitions:
@@ -500,8 +513,16 @@ def test_step_back_replays_clean_runs_for_every_generated_k(k):
     short or made longer, deltas that underflow, and moves that can leave
     the tape past either endmarker.  Every configuration of a trace is
     stepped back from as well, and so is each with another number of
-    counters or with a negative counter."""
-    machine, entries, traces = _clean_case(k)
+    counters, with a negative counter, or with a state that equals its own
+    but is another object.  States are strings and nested tuples."""
+    hits = 0
+    for shape in (str, _nested_state):
+        hits += _replay_clean_case(k, shape)
+    assert hits
+
+
+def _replay_clean_case(k, shape):
+    machine, entries, traces = _clean_case(k, shape)
     forgeries = [
         lambda out, i: out,
         lambda out, i: out._replace(deltas=out.deltas + (i % 2,)),
@@ -530,7 +551,48 @@ def test_step_back_replays_clean_runs_for_every_generated_k(k):
                     assert _outcome(step_back, machine, table, any_cfg) == _outcome(
                         _step_back_reference, machine, table, any_cfg
                     )
-    assert hits
+                twin = cfg._replace(state=_twin(cfg.state))
+                assert twin.state == cfg.state and (twin.state is not cfg.state or shape is str)
+                assert _outcome(step_back, machine, table, twin) == _outcome(
+                    _step_back_reference, machine, table, twin
+                )
+    return hits
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_forged_statuses_of_another_length_or_character_are_never_read(k):
+    """Beside every real key of a mirrored table, entries keyed on the same
+    state and token with a status vector one longer, one shorter, or with a
+    character other than Z or P: none is ever hit, and none moves or fills a
+    real key's slot, so every step back, and every ``move_for``, is the one
+    the real table gives."""
+    machine, entries, traces = _clean_case(k, _nested_state)
+    real = ReverseTable(entries)
+    kinds = [
+        lambda statuses: [statuses + ("Z",), statuses + ("P",)],
+        lambda statuses: [statuses[:-1], statuses[1:]],
+        lambda statuses: [
+            statuses[:j] + (other,) + statuses[j + 1 :] for j in range(k) for other in ("X", POSITIVE.lower())
+        ],
+    ]
+    steps = 0
+    for wrongs in kinds:  # each kind alone, so that no longer decoy widens the slot lists
+        decoys = {}
+        for i, (state, token, statuses) in enumerate(entries):
+            decoy = ReverseStep(_nested_state("forged"), (1, 0, -1)[i % 3], (0,) * k)
+            decoys.update(
+                ((state, token, wrong), decoy) for wrong in wrongs(statuses) if (state, token, wrong) not in entries
+            )
+        # decoys before the real keys and after them: a group's last entry sets its move
+        for table in (ReverseTable({**decoys, **entries}), ReverseTable({**entries, **decoys})):
+            for trace in traces:
+                for cfg in trace:
+                    want = _outcome(step_back, machine, real, cfg)
+                    assert _outcome(step_back, machine, table, cfg) == want
+                    steps += isinstance(want, Configuration)
+            for state, _, statuses in entries:
+                assert table.move_for(state, statuses) == real.move_for(state, statuses) is not None
+    assert steps
 
 
 def test_forward_and_backward_steps_build_configurations():
