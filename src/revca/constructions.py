@@ -244,7 +244,7 @@ def _macro_step(norm, state, token, statuses, ell):
     exceeds ell, which contradicts the quasi-real-time premise.
     """
     start = tuple(1 if s == POSITIVE else 0 for s in statuses)
-    _, steps, (target, _, head, counters) = norm._kernel[3](
+    _, steps, (target, _, head, counters) = norm._kernel[1](
         norm._index, (token, None), (state, None, 0, start), ell + 1, None
     )
     if steps > ell and not head:

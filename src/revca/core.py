@@ -117,17 +117,16 @@ def _status_slot(statuses: StatusVector) -> int:
 
 @cache
 def _counter_kernel(k: int):
-    """(forward, bits, add, loop, back): straight-line counter code for
-    exactly k counters, generated once per k the way
-    ``collections.namedtuple`` generates its methods.  On CPython a
-    comprehension is a call of its own, several times the cost of the same
-    tuple written out, and so is every helper a step calls.
+    """(forward, loop, back, cell): straight-line counter code for exactly
+    k counters, generated once per k the way ``collections.namedtuple``
+    generates its methods.  On CPython a comprehension is a call of its own,
+    several times the cost of the same tuple written out, and so is every
+    helper a step calls.
 
     ``forward(counters)`` is ``status_of`` for counters known not to be
-    negative, and ``bits(counters)`` the same statuses as one int, bit i set
-    when counter i is positive; ``add(counters, deltas)`` adds two vectors
-    of length k.  The two steppers write those expressions out in their own
-    bodies and probe on integer keys:
+    negative.  The three steppers write out in their own bodies the status
+    bits, bit i set when counter i is positive, and the counter adds, and
+    probe on integer keys:
 
     - ``loop(index, cells, cfg, fuel, history)`` is the forward loop of a
       clean machine on its ``_index``, from ``cfg`` over the tape ``cells``,
@@ -143,9 +142,23 @@ def _counter_kernel(k: int):
       the status slot, the head or the token misses, or a counter is
       negative.  An entry whose deltas have another length, or drive a
       counter below zero, goes to ``_cut_back``.
+    - ``cell(get, inverted, step_back, machine, table, fuel, word, head,
+      token, key)`` is ``verify_roundtrip``'s reader of one cell of a clean
+      machine: from ``key`` = (state id, steps, *counters), with the head
+      on cell ``head`` of ``word``, whose token has the id ``token``, it
+      steps on ``get``, the ``_index`` probe, until the head moves on.  It
+      returns the key at which the head reaches the next cell, None when
+      the machine halts or the fuel runs out first, or False at the first
+      step that does not invert.  A step is named by the int ``(probe key
+      << k) + post``, with ``post`` its post status bits: the probe key
+      names the transition one to one, and ``post < 2**k``.  A step not
+      yet in the set ``inverted`` is handed, as its successor
+      configuration, to ``step_back(machine, table, after)``, and the
+      result is compared with the (state, word, head, counters) tuple
+      before it; a step that inverts joins the set.
 
-    Each raises ValueError on a counter vector of another length, and
-    ``add`` and ``loop`` on a delta vector of another length.
+    ``forward``, ``loop`` and ``back`` raise ValueError on a counter vector
+    of another length, and ``loop`` on a delta vector of another length.
     """
     c = [f"c{i}" for i in range(k)]
     d = [f"d{i}" for i in range(k)]
@@ -160,6 +173,8 @@ def _counter_kernel(k: int):
     forward = vector(f"P if {x} else Z" for x in c)
     bits = " + ".join(f"({x} > 0)" if i == 0 else f"(({x} > 0) << {i})" for i, x in enumerate(c)) or "0"
     negative = "".join(f" or {x} < 0" for x in c)
+    flat = "".join(f", {x}" for x in c)
+    before = vector(f"{x} - {y}" for x, y in zip(c, d))
     underflow = (
         f"    if {' or '.join(f'{x} < 0' for x in c)}:\n"
         f"        return cut(cfg, target, head, deltas)\n"
@@ -168,13 +183,6 @@ def _counter_kernel(k: int):
         f"def forward(counters):\n"
         f"    {counters} = counters\n"
         f"    return {forward}\n"
-        f"def bits(counters):\n"
-        f"    {counters} = counters\n"
-        f"    return {bits}\n"
-        f"def add(counters, deltas):\n"
-        f"    {counters} = counters\n"
-        f"    {deltas} = deltas\n"
-        f"    return {vector(f'{x} + {y}' for x, y in zip(c, d))}\n"
         f"def loop(index, cells, cfg, fuel, history):\n"
         f"    ids, cell_ids, keys = index\n"
         f"    get, tokens = keys.get, [*map(cell_ids.__getitem__, cells)]\n"
@@ -215,13 +223,32 @@ def _counter_kernel(k: int):
         f"{added('    ')}"
         f"{underflow}"
         f"    return new(Configuration, (target, word, head, {vector(c)}))\n"
+        f"def cell(get, inverted, step_back, machine, table, fuel, word, head, token, key):\n"
+        f"    s, steps{flat} = key\n"
+        f"    while steps < fuel:\n"
+        f"        p = s + token + {bits}\n"
+        f"        e = get(p)\n"
+        f"        if e is None:\n"
+        f"            return None\n"
+        f"        s, move, state, t, {deltas} = e\n"
+        f"{added('        ')}"
+        f"        steps += 1\n"
+        f"        p = (p << {k}) + {bits}\n"
+        f"        if p not in inverted:\n"
+        f"            after = new(Configuration, (state, word, head + move, {vector(c)}))\n"
+        f"            if step_back(machine, table, after) != (t.state, word, head, {before}):\n"
+        f"                return False\n"
+        f"            inverted.add(p)\n"
+        f"        if move:\n"
+        f"            return (s, steps{flat})\n"
+        f"    return None\n"
     )
     namespace = {
         "P": POSITIVE, "Z": ZERO, "L": LEFT_END, "R": RIGHT_END,
         "Configuration": Configuration, "new": tuple.__new__, "cut": _cut_back, "__name__": __name__,
     }
     exec(source, namespace)
-    return tuple(namespace[name] for name in ("forward", "bits", "add", "loop", "back"))
+    return tuple(namespace[name] for name in ("forward", "loop", "back", "cell"))
 
 
 def _cut_back(cfg: Configuration, target, head: int, deltas) -> Configuration:
@@ -281,12 +308,15 @@ class CounterAutomaton:
     def _index(self) -> tuple:
         """(ids, cells, steps): every step of a machine that passes
         ``validate`` under one integer key, which the kernel's ``loop`` and
-        ``verify_roundtrip`` probe.  A state's id is its number times the
-        stride, a token's its number times 2**k, with None a token that no
-        key holds, and a step's key is state id + token id + status bits
-        (bit i set when counter i is positive).  Its entry is (target id,
-        move, target, transition, deltas).  Built on the first such run, so
-        a machine that is only constructed, checked or written builds none.
+        ``cell`` probe.  A state's id is its number times the stride, a
+        token's its number times 2**k, with None a token that no key holds,
+        and a step's key is state id + token id + status bits (bit i set
+        when counter i is positive), so distinct (state, token, statuses)
+        keys get distinct ints, and ``cell`` names a step together with its
+        post status bits, which are below 2**k, as (key << k) + post bits.
+        Its entry is (target id, move, target, transition, deltas).  Built
+        on the first such run, so a machine that is only constructed,
+        checked or written builds none.
         """
         k = self.k
         cells = {token: i << k for i, token in enumerate((LEFT_END, RIGHT_END, None, *self.alphabet))}
@@ -580,7 +610,7 @@ def run(
     check_configuration(machine, cfg)
     history = [cfg] if trace else None
     if machine._clean:
-        t, steps, cfg = machine._kernel[3](machine._index, (LEFT_END, *word, RIGHT_END), cfg, fuel, history)
+        t, steps, cfg = machine._kernel[1](machine._index, (LEFT_END, *word, RIGHT_END), cfg, fuel, history)
     else:
         steps = 0
         try:

@@ -211,7 +211,7 @@ def step_back(
     whether ``cfg.state`` belongs to the machine is only tested there.
     """
     try:
-        before = machine._kernel[4](table._rows, cfg)
+        before = machine._kernel[2](table._rows, cfg)
         if before is not None:
             return before
     except (ValueError, IndexError):
@@ -242,12 +242,14 @@ def verify_roundtrip(
     round-trips.
 
     The words are not run one by one.  Heads move 0 or +1, so a run's future
-    depends only on its frontier key (state, counters, steps) when the head
+    depends only on its frontier key (state, steps, counters) when the head
     first reaches a new cell: ``steps`` is there for the fuel.  Level n maps
     each key reached after n letters to the first word that reaches it;
     expanding the keys in order, letters sorted, visits the words in the
     order above, and a repeated key skips its subtree.  The cost is per
-    distinct key per length, not per word.
+    distinct key per length, not per word.  Each cell is read by the
+    kernel's generated ``cell``, with the state as its id in
+    ``machine._index`` and each letter mapped to its cell id once per call.
 
     Nor is a step stepped back each time it is taken.  Take a step by
     transition ``t`` from ``before`` to ``after``, with counter statuses
@@ -258,15 +260,14 @@ def verify_roundtrip(
     when its target is ``t.state`` and its deltas undo ``t.deltas``.  So
     whether a step inverts depends on (``t``, ``post``) alone, and a step
     that inverts cannot underflow, since it gives back ``before``'s
-    counters.  The search keys each step on (``id(t)``, ``post``), with
-    ``post`` as its status bits, which name the k statuses one to one, and
-    ``t`` held alive by the entry of ``machine._index`` that the step was
-    read from.  It calls ``step_back`` on a step's first sight only: a step
-    that inverted once inverts every time, and one that fails, or raises,
-    ends the search at its first sight.  The steps skipped all invert, so
-    the first step that fails here is the first that fails in the word's
-    own run, and an error that ``step_back`` raises here is the one the
-    replay raises.
+    counters.  The search names each step by one int, (``t``'s index key
+    << k) + ``post``'s status bits: the index key names ``t`` one to one
+    and the bits, below 2**k, name the k statuses one to one.  It calls
+    ``step_back`` on a step's first sight only: a step that inverted once
+    inverts every time, and one that fails, or raises, ends the search at
+    its first sight.  The steps skipped all invert, so the first step that
+    fails here is the first that fails in the word's own run, and an error
+    that ``step_back`` raises here is the one the replay raises.
 
     A machine that fails ``validate`` or has a ``max_delta`` above 1 may
     move left or leave the model, so its words are still run one at a time.
@@ -278,53 +279,23 @@ def verify_roundtrip(
         return next(filter(None, (roundtrip_word(machine, table, w, fuel) for w in words)), None)
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
-    _, bits, add_counters, _, _ = machine._kernel
+    cell = machine._kernel[3]
     ids, cells, index = machine._index
-    probe, new = index.get, tuple.__new__
-    inverted: set[tuple] = set()  # (id(t), post) of every step stepped back so far
-
-    def read_cell(word, head, cell, key) -> tuple[bool, Optional[tuple]]:
-        """Run ``word`` from ``key`` = (state id, counters, steps) with the
-        head on cell ``head``, whose token has the id ``cell``, until it
-        moves on: (True, None) at the first step that does not invert, else
-        False and the key at which the head reaches the next cell, or None
-        when the run halts or runs out of fuel first.  A step's post status
-        bits key it in ``inverted`` and probe the index for the next step,
-        so each is worked out once; configurations are built only for a step
-        seen for the first time."""
-        s, counters, steps = key
-        post = bits(counters)
-        while steps < fuel:
-            e = probe(s + cell + post)
-            if e is None:
-                break
-            s, move, state, t, deltas = e
-            before = counters
-            counters, steps = add_counters(counters, deltas), steps + 1
-            post = bits(counters)
-            step = (id(t), post)
-            if step not in inverted:
-                after = new(Configuration, (state, word, head + move, counters))
-                if step_back(machine, table, after) != new(Configuration, (t.state, word, head, before)):
-                    return True, None
-                inverted.add(step)
-            if move:
-                return False, (s, counters, steps)
-        return False, None
-
-    letters = sorted(machine.alphabet)
-    left, right = cells[LEFT_END], cells[RIGHT_END]
-    pending = [((), (ids[machine.initial], (0,) * machine.k, 0))]
+    get, inverted = index.get, set()  # every step stepped back so far
+    right = cells[RIGHT_END]
+    letters = [(letter, cells[letter]) for letter in sorted(machine.alphabet)]
+    pending = [((), cells[LEFT_END], (ids[machine.initial], 0) + (0,) * machine.k)]
     for n in range(max_len + 1):
         level: dict[tuple, tuple[str, ...]] = {}
-        for word, key in pending:
-            bad, child = read_cell(word, n, cells[word[-1]] if n else left, key)
-            if child is not None and child not in level:
+        for word, token, key in pending:
+            child = cell(get, inverted, step_back, machine, table, fuel, word, n, token, key)
+            if child and child not in level:
                 level[child] = word
-                bad = read_cell(word, n + 1, right, child)[0]
-            if bad:
+                # no step moves right on the right endmarker: None or False
+                child = cell(get, inverted, step_back, machine, table, fuel, word, n + 1, right, child)
+            if child is False:
                 return roundtrip_word(machine, table, word, fuel)
-        pending = ((word + (letter,), key) for key, word in level.items() for letter in letters)
+        pending = [(word + (letter,), token, key) for key, word in level.items() for letter, token in letters]
     return None
 
 

@@ -315,6 +315,65 @@ def test_verify_roundtrip_matches_per_word_reference(rng):
     assert _outcome(verify_roundtrip, *case) == _outcome(_verify_roundtrip_reference, *case)
 
 
+def _permuted_case(k):
+    """A clean machine of k counters that moves on every token but the right
+    endmarker, to a permutation of its five states per token: a rotates
+    them, b swaps q0 and q1, and the left endmarker keeps them.  The right
+    endmarker halts in a state of its own.  Each (state, token) adds 0 or 1
+    to each counter, or 1 to a counter only when it is positive, so that no
+    two steps into one (state, token, post statuses) key differ and
+    ``derive_reverse`` inverts the machine."""
+    rng = random.Random(k)
+    states = [f"q{i}" for i in range(5)]
+    perms = {
+        "<": dict(zip(states, states)),
+        "a": dict(zip(states, states[1:] + states[:1])),
+        "b": dict(zip(states, states[1::-1] + states[2:])),
+    }
+    rows = [
+        (state, RIGHT_END, statuses, "h" + state, 0, (0,) * k) for state in states for statuses in product("ZP", repeat=k)
+    ]
+    for state, token in product(states, perms):
+        rule = [rng.choice([0, 1, "grow"]) for _ in range(k)]
+        for statuses in product("ZP", repeat=k):
+            deltas = tuple(int(s == POSITIVE) if r == "grow" else r for r, s in zip(rule, statuses))
+            rows.append((state, token, statuses, perms[token][state], 1, deltas))
+    machine = make_automaton(rows, "q0", ["hq0", "hq3"], k, ["a", "b"], states + ["h" + st for st in states])
+    assert validate(machine) == []
+    return machine
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_verify_roundtrip_matches_reference_for_every_generated_k(k):
+    """The kernel's ``cell`` of every k the tests generate, on the derived
+    table and on tables forged at one entry that some word up to length 6
+    reads: the entry dropped, or its target changed.  Each forged table
+    fails first on the first word whose run reads that entry, and the
+    deepest entry is first read on a word of length at least 4."""
+    machine, max_len = _permuted_case(k), 6
+    table = derive_reverse(machine).table
+    assert verify_roundtrip(machine, table, max_len) is None is _verify_roundtrip_reference(machine, table, max_len)
+    first = {}  # every reverse key that a step reads, with the first word whose run reads it
+    for word in all_words(machine.alphabet, max_len):
+        trace = run(machine, word, 10_000, trace=True).trace
+        for before, after in zip(trace, trace[1:]):
+            token = (LEFT_END, *word, RIGHT_END)[before.head]
+            first.setdefault((after.state, token, status_of(after.counters)), word)
+    rng = random.Random(k)
+    reached = sorted(first, key=repr)
+    deepest = max(reached, key=lambda key: len(first[key]))
+    assert len(first[deepest]) >= 4
+    entries = table.entries
+    for key in rng.sample(reached, min(6, len(reached))) + [deepest]:
+        out = entries[key]
+        other = rng.choice(sorted(machine.states - {out.target}))
+        dropped = {entry: step for entry, step in entries.items() if entry != key}
+        for forged in (ReverseTable(dropped), ReverseTable({**entries, key: out._replace(target=other)})):
+            bad = verify_roundtrip(machine, forged, max_len)
+            assert bad.word == first[key]
+            assert bad == _verify_roundtrip_reference(machine, forged, max_len)
+
+
 def test_verify_roundtrip_reports_the_first_word_in_order():
     # the forged entry breaks exactly two words of length 3, b c c and c b c,
     # and none shorter: the first of them in lexicographic order is reported
@@ -374,7 +433,11 @@ def _step_of(machine, before, after):
     return machine.table[before.state, token, status_of(before.counters)], status_of(after.counters)
 
 
-@pytest.mark.parametrize("m, max_len", [(build_eq_ab(), 10), (build_balanced(3), 7)], ids=["eq-ab", "balanced-3"])
+@pytest.mark.parametrize(
+    "m, max_len",
+    [(build_eq_ab(), 10), (build_balanced(3), 7), (build_balanced(4), 5)],
+    ids=["eq-ab", "balanced-3", "balanced-4"],
+)
 def test_verify_roundtrip_steps_back_each_distinct_step_once(monkeypatch, m, max_len):
     table = derive_reverse(m).table
     calls = []
