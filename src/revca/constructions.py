@@ -61,21 +61,13 @@ class MoveDisagreementError(MachineError):
         self.second = second
 
 
-def _mod_case(m: int, b: int, c: int) -> tuple[int, int]:
-    """Residue update and carry for one counter: new residue in [0, c) plus a
-    stored-value delta in {-1, 0, 1}."""
-    s = m + b
-    if 0 <= s <= c - 1:
-        return s, 0
-    if s < 0:
-        return s + c, -1
-    return s - c, 1
-
-
 def _carry(residues: tuple[int, ...], statuses: tuple[str, ...], deltas: tuple[int, ...], c: int):
     """The residue/carry kernel shared by machine and reverse-table
     normalization: one source row (statuses, deltas) at one residue vector.
 
+    A counter with residue m in [0, c) and delta b gets
+    (carry, new residue) = ``divmod(m + b, c)``; every caller keeps
+    |b| <= c, so the carry, the stored-value delta, is -1, 0 or 1.
     Returns a tuple of (stored statuses, new residues, carries), one row for
     every stored-value status vector that lifts to ``statuses`` (a source
     counter is zero exactly when its residue and stored value both are).  A
@@ -84,15 +76,15 @@ def _carry(residues: tuple[int, ...], statuses: tuple[str, ...], deltas: tuple[i
     forbids.  The rows depend on (residues, statuses, deltas) alone, so the
     callers keep one memo per modulus and run the kernel once per key.
     """
-    cases = [_mod_case(m, b, c) for m, b in zip(residues, deltas)]
+    cases = [divmod(m + b, c) for m, b in zip(residues, deltas)]
     choices = []
-    for m, s, (_, carry) in zip(residues, statuses, cases):
+    for m, s, (carry, _) in zip(residues, statuses, cases):
         if s == ZERO:
             choices.append(() if m or carry < 0 else (ZERO,))
         else:
             choices.append((POSITIVE,) if m == 0 or carry < 0 else (ZERO, POSITIVE))
-    new_res = tuple(m for m, _ in cases)
-    carries = tuple(b for _, b in cases)
+    new_res = tuple(r for _, r in cases)
+    carries = tuple(q for q, _ in cases)
     return tuple((stored, new_res, carries) for stored in iproduct(*choices))
 
 
@@ -244,7 +236,7 @@ def _macro_step(norm, state, token, statuses, ell):
     exceeds ell, which contradicts the quasi-real-time premise.
     """
     start = tuple(1 if s == POSITIVE else 0 for s in statuses)
-    _, steps, (target, _, head, counters) = norm._kernel[1](
+    _, steps, (target, _, head, counters) = norm._kernel[0](
         norm._index, (token, None), (state, None, 0, start), ell + 1, None
     )
     if steps > ell and not head:

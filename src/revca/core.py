@@ -117,16 +117,13 @@ def _status_slot(statuses: StatusVector) -> int:
 
 @cache
 def _counter_kernel(k: int):
-    """(forward, loop, back, cell): straight-line counter code for exactly
-    k counters, generated once per k the way ``collections.namedtuple``
-    generates its methods.  On CPython a comprehension is a call of its own,
-    several times the cost of the same tuple written out, and so is every
-    helper a step calls.
-
-    ``forward(counters)`` is ``status_of`` for counters known not to be
-    negative.  The three steppers write out in their own bodies the status
-    bits, bit i set when counter i is positive, and the counter adds, and
-    probe on integer keys:
+    """(loop, back, cell): straight-line steppers for exactly k counters,
+    generated once per k the way ``collections.namedtuple`` generates its
+    methods.  On CPython a comprehension is a call of its own, several times
+    the cost of the same tuple written out, and so is every helper a step
+    calls.  Each stepper writes out in its own body the status bits, bit i
+    set when counter i is positive, and the counter adds, and probes on
+    integer keys:
 
     - ``loop(index, cells, cfg, fuel, history)`` is the forward loop of a
       clean machine on its ``_index``, from ``cfg`` over the tape ``cells``,
@@ -157,8 +154,8 @@ def _counter_kernel(k: int):
       result is compared with the (state, word, head, counters) tuple
       before it; a step that inverts joins the set.
 
-    ``forward``, ``loop`` and ``back`` raise ValueError on a counter vector
-    of another length, and ``loop`` on a delta vector of another length.
+    ``loop`` and ``back`` raise ValueError on a counter vector of another
+    length, and ``loop`` on a delta vector of another length.
     """
     c = [f"c{i}" for i in range(k)]
     d = [f"d{i}" for i in range(k)]
@@ -170,7 +167,6 @@ def _counter_kernel(k: int):
     def added(indent: str) -> str:
         return "".join(f"{indent}{x} += {y}\n" for x, y in zip(c, d))
 
-    forward = vector(f"P if {x} else Z" for x in c)
     bits = " + ".join(f"({x} > 0)" if i == 0 else f"(({x} > 0) << {i})" for i, x in enumerate(c)) or "0"
     negative = "".join(f" or {x} < 0" for x in c)
     flat = "".join(f", {x}" for x in c)
@@ -180,9 +176,6 @@ def _counter_kernel(k: int):
         f"        return cut(cfg, target, head, deltas)\n"
     ) if c else ""
     source = (
-        f"def forward(counters):\n"
-        f"    {counters} = counters\n"
-        f"    return {forward}\n"
         f"def loop(index, cells, cfg, fuel, history):\n"
         f"    ids, cell_ids, keys = index\n"
         f"    get, tokens = keys.get, [*map(cell_ids.__getitem__, cells)]\n"
@@ -244,11 +237,11 @@ def _counter_kernel(k: int):
         f"    return None\n"
     )
     namespace = {
-        "P": POSITIVE, "Z": ZERO, "L": LEFT_END, "R": RIGHT_END,
+        "L": LEFT_END, "R": RIGHT_END,
         "Configuration": Configuration, "new": tuple.__new__, "cut": _cut_back, "__name__": __name__,
     }
     exec(source, namespace)
-    return tuple(namespace[name] for name in ("forward", "loop", "back", "cell"))
+    return namespace["loop"], namespace["back"], namespace["cell"]
 
 
 def _cut_back(cfg: Configuration, target, head: int, deltas) -> Configuration:
@@ -560,13 +553,13 @@ def check_configuration(machine: CounterAutomaton, cfg: Configuration) -> None:
 def step(machine: CounterAutomaton, cfg: Configuration) -> Optional[Configuration]:
     """One forward step; None when the table has no entry (the machine halts).
 
-    ``cfg`` is checked first.  A delta vector of another length, which only
-    a machine that fails ``validate`` holds, is added cut to the shorter
-    vector, as ``zip`` does.
+    ``cfg`` is checked first, so no counter is negative, and the step probes
+    ``table`` with ``status_of`` of its counters.  A delta vector of another
+    length, which only a machine that fails ``validate`` holds, is added cut
+    to the shorter vector, as ``zip`` does.
     """
     check_configuration(machine, cfg)
-    token = machine.scanned(cfg)
-    t = machine.table.get((cfg.state, token, machine._kernel[0](cfg.counters)))
+    t = machine.table.get((cfg.state, machine.scanned(cfg), status_of(cfg.counters)))
     if t is None:
         return None
     counters = tuple(map(add, cfg.counters, t.deltas))
@@ -610,7 +603,7 @@ def run(
     check_configuration(machine, cfg)
     history = [cfg] if trace else None
     if machine._clean:
-        t, steps, cfg = machine._kernel[1](machine._index, (LEFT_END, *word, RIGHT_END), cfg, fuel, history)
+        t, steps, cfg = machine._kernel[0](machine._index, (LEFT_END, *word, RIGHT_END), cfg, fuel, history)
     else:
         steps = 0
         try:
@@ -666,10 +659,8 @@ def rename_states(machine: CounterAutomaton) -> CounterAutomaton:
                 order.append(reached)
             transitions.append(new(Transition, (source, token, statuses, target, move, deltas)))
 
-    i = 0
-    while i < len(order):
-        emit(order[i])
-        i += 1
+    for state in order:  # emit appends each newly named target
+        emit(state)
     leftovers = sorted(machine.states - names.keys(), key=repr)
     for st in leftovers:
         names[st] = f"s{len(order)}"

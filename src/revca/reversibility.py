@@ -211,7 +211,7 @@ def step_back(
     whether ``cfg.state`` belongs to the machine is only tested there.
     """
     try:
-        before = machine._kernel[2](table._rows, cfg)
+        before = machine._kernel[1](table._rows, cfg)
         if before is not None:
             return before
     except (ValueError, IndexError):
@@ -279,7 +279,7 @@ def verify_roundtrip(
         return next(filter(None, (roundtrip_word(machine, table, w, fuel) for w in words)), None)
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
-    cell = machine._kernel[3]
+    cell = machine._kernel[2]
     ids, cells, index = machine._index
     get, inverted = index.get, set()  # every step stepped back so far
     right = cells[RIGHT_END]

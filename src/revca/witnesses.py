@@ -210,9 +210,9 @@ def build_balance_factor(alphabet: str, other: str) -> CounterAutomaton:
 def build_balanced(k: int) -> CounterAutomaton:
     """Machine over k letters accepting words where all letter counts agree,
     as the product of k - 1 pairwise balance checkers (first letter against
-    each of the others)."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    each of the others); k runs from 2 to the number of ``LETTERS``."""
+    if not 2 <= k <= len(LETTERS):
+        raise ValueError(f"k must be in 2..{len(LETTERS)}, not {k}")
     alphabet = LETTERS[:k]
     factors = [build_balance_factor(alphabet, alphabet[i]) for i in range(1, k)]
     return replace(reduce(product_intersection, factors), name=f"balanced-{k}")

@@ -194,6 +194,15 @@ def test_cli_example_regular_witness(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("k", ["1", "11"])
+def test_cli_example_balanced_k_out_of_range_exits_2(capsys, k):
+    # an exception escaping main would reach the user as a traceback
+    assert main(["example", f"balanced-k:{k}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: k must be in 2..10")
+    assert "Traceback" not in err
+
+
 def test_cli_example_unknown(capsys):
     assert main(["example", "no-such-machine"]) == 2
     capsys.readouterr()

@@ -13,15 +13,15 @@ from revca.constructions import (
     EarlyAcceptanceError,
     MoveDisagreementError,
     NotQuasiRealtimeError,
+    _carry,
     _check_accepts_at_end,
     _macro_step,
-    _mod_case,
     normalize_extended,
     product_intersection,
     remove_initial_left_loops,
     speedup,
 )
-from revca.core import MachineError, POSITIVE, Transition, Verdict, all_words, make_automaton, run, status_of, validate
+from revca.core import MachineError, POSITIVE, Transition, Verdict, ZERO, all_words, make_automaton, run, status_of, validate
 from revca.formats import parse_automaton
 from revca.mcm import hartmanis_example
 from revca.reversibility import (
@@ -41,12 +41,35 @@ from conftest import toy_burst_machine, toy_parity_dfa, toy_stationary_counter
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
 
-def test_mod_case_table():
-    assert _mod_case(2, 2, 3) == (1, 1)    # overflow carries up
-    assert _mod_case(0, -2, 3) == (1, -1)  # underflow borrows
-    assert _mod_case(1, 0, 4) == (1, 0)    # no change stays put
-    assert _mod_case(0, 1, 2) == (1, 0)
-    assert _mod_case(1, 1, 2) == (0, 1)
+def test_carry_table():
+    def case(m, b, c):  # (new residue, carry) of one positive counter
+        _, (residue,), (carry,) = _carry((m,), (POSITIVE,), (b,), c)[0]
+        return residue, carry
+
+    assert case(2, 2, 3) == (1, 1)    # overflow carries up
+    assert case(0, -2, 3) == (1, -1)  # underflow borrows
+    assert case(1, 0, 4) == (1, 0)    # no change stays put
+    assert case(0, 1, 2) == (1, 0)
+    assert case(1, 1, 2) == (0, 1)
+
+
+@pytest.mark.parametrize("c", range(1, 7))
+def test_carry_matches_the_case_split_wherever_callers_reach(c):
+    """Callers keep |b| <= c, so m + b lies in [-c, 2c), where ``divmod``
+    and the per-counter case split it replaced agree."""
+    for m, b, s in cartesian(range(c), range(-c, c + 1), (ZERO, POSITIVE)):
+        total = m + b
+        if total < 0:
+            residue, carry = total + c, -1
+        elif total < c:
+            residue, carry = total, 0
+        else:
+            residue, carry = total - c, 1
+        if s == ZERO:
+            stored = () if m or carry < 0 else (ZERO,)
+        else:
+            stored = (POSITIVE,) if m == 0 or carry < 0 else (ZERO, POSITIVE)
+        assert _carry((m,), (s,), (b,), c) == tuple(((x,), (residue,), (carry,)) for x in stored), (m, b, s)
 
 
 def extended_demo():
@@ -843,3 +866,31 @@ def test_normalize_and_speedup_keep_a_diagnosed_reject():
     assert not source.accepted and source.diagnostic is not None
     assert not run(normalize_extended(m), "", 50).accepted
     assert not run(speedup(m, 1), "", 50).accepted
+
+
+@pytest.mark.xfail(
+    strict=True, raises=NotQuasiRealtimeError, reason="speedup refuses an over-long stationary run that halts rejecting"
+)
+def test_speedup_drops_an_over_long_stationary_run_that_halts_rejecting():
+    m = make_automaton(
+        [("q0", "<", "Z", "q1", 1, (0,)), ("q1", "a", "Z", "r1", 0, (1,))]
+        + [(f"r{i}", "a", "P", f"r{i + 1}", 0, (1,)) for i in range(1, 6)],
+        initial="q0", accepting=["q1"], k=1, alphabet={"a"},
+    )
+    assert check_quasi_realtime(m, 1, 6).ok
+    out = speedup(m, 1)
+    for word in all_words(m.alphabet, 6):
+        assert run(out, word, len(word) + 2).accepted == run(m, word, 50).accepted, word
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="speedup at ell = 0 returns a stationary machine unchecked")
+def test_speedup_at_zero_keeps_its_promise_or_refuses():
+    # either outcome mends the defect, so the test takes no side on whether
+    # a stationary step into a halt counts against ell
+    m = parse_automaton((MACHINES / "toy_stationary.rca").read_text())
+    try:
+        out = speedup(m, 0)
+    except NotQuasiRealtimeError:
+        return
+    for word in all_words(m.alphabet, 4):
+        assert run(out, word, len(word) + 2).accepted == run(m, word, 50).accepted, word

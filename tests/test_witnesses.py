@@ -237,6 +237,14 @@ def test_balanced_family(k):
             assert out.steps == len(word) + 2
 
 
+@pytest.mark.parametrize("k", [-1, 0, 1, 11, 12])
+def test_balanced_rejects_k_outside_its_letters(k):
+    """There are ten letters, so k runs from 2 to 10; past them the builder
+    would index its letter string out of range."""
+    with pytest.raises(ValueError, match=r"k must be in 2\.\.10"):
+        build_balanced(k)
+
+
 def test_balanced_2_equals_eq_ab():
     m2 = build_balanced(2)
     eq = build_eq_ab()
