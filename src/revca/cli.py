@@ -158,7 +158,12 @@ def cmd_example(args) -> int:
     if build is None:
         print(f"unknown example {args.name!r}", file=sys.stderr)
         return 2
-    machine = build(int(k)) if colon else build()
+    if colon:
+        try:
+            k = int(k)
+        except ValueError:
+            raise ValueError(f"{name}:K needs an integer K, not {k!r}") from None
+    machine = build(k) if colon else build()
     if args.output:
         _write_automaton(machine, args.output)
     else:
@@ -200,14 +205,7 @@ def cmd_valc_build(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="revca",
-        description="reversible counter automata: simulate, invert, construct",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("run", help="run a machine on an input word")
+def _add_run(p) -> None:
     p.add_argument("file")
     p.add_argument("input")
     p.add_argument("--backward", action="store_true", help="replay the run backward")
@@ -215,37 +213,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("check", help="derive the reverse table, optionally verify it")
+
+def _add_check(p) -> None:
     p.add_argument("file")
     p.add_argument("--mode", choices=["syntactic", "roundtrip"], default="syntactic")
     p.add_argument("--max-len", type=int, default=6)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("normalize", help="reduce an extended machine to unit deltas")
+
+def _add_normalize(p) -> None:
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("speedup", help="remove stationary moves (real-time output)")
+
+def _add_speedup(p) -> None:
     p.add_argument("file")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_speedup)
 
-    p = sub.add_parser("product", help="lockstep intersection of two machines")
+
+def _add_product(p) -> None:
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_product)
 
-    p = sub.add_parser("example", help="emit a built-in machine")
+
+def _add_example(p) -> None:
     p.add_argument("name", help=" | ".join(_EXAMPLES))
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_example)
 
-    lk = sub.add_parser("lk", help="scattered-factor languages").add_subparsers(
-        dest="lk_command", required=True
-    )
+
+def _add_lk(group) -> None:
+    lk = group.add_subparsers(dest="lk_command", required=True)
     p = lk.add_parser("decide", help="membership test")
     p.add_argument("word")
     p.add_argument("--k", type=int, required=True)
@@ -257,18 +260,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_lk_gen)
 
-    mm = sub.add_parser("mcm", help="multiplying counter machines").add_subparsers(
-        dest="mcm_command", required=True
-    )
+
+def _add_mcm(group) -> None:
+    mm = group.add_subparsers(dest="mcm_command", required=True)
     p = mm.add_parser("run", help="trace a run from register 2**i")
     p.add_argument("file")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--fuel", type=int, default=1_000)
     p.set_defaults(func=cmd_mcm_run)
 
-    vv = sub.add_parser("valc", help="computation-history languages").add_subparsers(
-        dest="valc_command", required=True
-    )
+
+def _add_valc(group) -> None:
+    vv = group.add_subparsers(dest="valc_command", required=True)
     p = vv.add_parser("encode", help="encode the accepting run from 2**i")
     p.add_argument("file")
     p.add_argument("--i", type=int, required=True)
@@ -280,6 +283,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_valc_build)
 
+
+# each command once: its name, its help line, and what adds its arguments and
+# handler to its subparser
+_COMMANDS = {
+    "run": ("run a machine on an input word", _add_run),
+    "check": ("derive the reverse table, optionally verify it", _add_check),
+    "normalize": ("reduce an extended machine to unit deltas", _add_normalize),
+    "speedup": ("remove stationary moves (real-time output)", _add_speedup),
+    "product": ("lockstep intersection of two machines", _add_product),
+    "example": ("emit a built-in machine", _add_example),
+    "lk": ("scattered-factor languages", _add_lk),
+    "mcm": ("multiplying counter machines", _add_mcm),
+    "valc": ("computation-history languages", _add_valc),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, holding the subparser of ``command`` alone when
+    it names a command, and of every command otherwise.
+
+    A narrowed parser is only ever given a command line that starts with its
+    command, so it can report no invalid or missing command; the one text of
+    its own it prints is the usage line, which lists every command all the
+    same, so usage, help and error texts match the full parser's.
+    """
+    parser = argparse.ArgumentParser(
+        prog="revca",
+        description="reversible counter automata: simulate, invert, construct",
+    )
+    if command in _COMMANDS:
+        names, metavar = [command], "{" + ",".join(_COMMANDS) + "}"
+    else:
+        names, metavar = _COMMANDS, None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_line, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
@@ -296,7 +336,8 @@ def main(argv=None) -> int:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.func(args)
     except (formats.FormatError, MachineError, mcm.McmError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -105,6 +105,15 @@ def normalize_extended(
     defects = validate(machine)
     if defects:
         raise MachineError("normalize_extended needs a clean machine: " + "; ".join(defects))
+    out, kernel = _normalized(machine)
+    if reverse is None:
+        return out
+    return out, _normalize_reverse(reverse, machine.max_delta, machine.k, kernel)
+
+
+def _normalized(machine: CounterAutomaton):
+    """``normalize_extended``'s machine, for a source already known to be
+    clean, with the kernel memo it filled."""
     c, k = machine.max_delta, machine.k
     kernel = cache(partial(_carry, c=c))  # (residues, statuses, deltas) -> _carry rows
 
@@ -118,9 +127,7 @@ def normalize_extended(
         (machine.initial, (0,) * k), rows, lambda st: st[0] in machine.accepting, machine.alphabet, k,
         name=f"norm({machine.name})" if machine.name else "",
     )
-    if reverse is None:
-        return out
-    return out, _normalize_reverse(reverse, c, k, kernel)
+    return out, kernel
 
 
 def _normalize_reverse(reverse: ReverseTable, c: int, k: int, kernel) -> ReverseTable:
@@ -196,8 +203,9 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
     if ell == 0 and machine.max_delta == 1:
         return machine
     c = (ell + 1) * machine.max_delta
-    # normalize_extended takes its residue modulus c from max_delta
-    norm = normalize_extended(replace(machine, max_delta=c))
+    # the normalization takes its residue modulus c from max_delta; a machine
+    # clean at max_delta D <= c is clean at c, so it is not validated again
+    norm, _ = _normalized(replace(machine, max_delta=c))
     norm = remove_initial_left_loops(norm)
     # a replay reads keys only at a stationary seed and at the targets of
     # stationary steps, so it steps on an index of those states' rows alone

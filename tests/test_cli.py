@@ -1,8 +1,10 @@
+import argparse
 from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from revca import cli
 from revca.cli import main
 from revca.core import CounterAutomaton, Transition, defects_by_transition
 from revca.formats import (
@@ -203,6 +205,11 @@ def test_cli_example_balanced_k_out_of_range_exits_2(capsys, k):
     assert "Traceback" not in err
 
 
+def test_cli_example_balanced_k_not_an_integer_exits_2(capsys):
+    assert main(["example", "balanced-k:x"]) == 2
+    assert capsys.readouterr().err == "error: balanced-k:K needs an integer K, not 'x'\n"
+
+
 def test_cli_example_unknown(capsys):
     assert main(["example", "no-such-machine"]) == 2
     capsys.readouterr()
@@ -268,6 +275,84 @@ def test_cli_bad_file_exit_2(tmp_path, capsys):
 def test_cli_missing_file_exit_2(capsys):
     assert main(["run", "no/such/file.rca", "a"]) == 2
     capsys.readouterr()
+
+
+# every command path, with "OUT" standing for a file in a fresh directory:
+# each command and nested command, -h on each, no arguments, -h alone, an
+# unknown command, an option before a command, arguments missing, misspelt
+# or extra, and CI's malformed invocations
+INVOCATIONS = [
+    "run machines/eq_ab.rca abba --backward --trace",
+    "check machines/eq_ab.rca --mode roundtrip --max-len 4",
+    "normalize machines/double_step.rca -o OUT",
+    "speedup machines/toy_stationary.rca --ell 1 -o OUT",
+    "product machines/eq_ab.rca machines/regular_witness.rca -o OUT",
+    "example balanced-k:3",
+    "lk decide --k 2 abaB$$Bb",
+    "lk gen --k 2 --j 2 --i 1 --seed 7",
+    "mcm run machines/hartmanis.mcm --i 4",
+    "valc encode machines/double.mcm --i 1",
+    "valc build machines/hartmanis.mcm --part 2 -o OUT",
+    *(f"{command} -h" for command in [
+        "run", "check", "normalize", "speedup", "product", "example", "lk", "lk decide", "lk gen",
+        "mcm", "mcm run", "valc", "valc encode", "valc build",
+    ]),
+    "",
+    "-h",
+    "chek machines/eq_ab.rca",
+    "--foo check machines/eq_ab.rca",
+    "-- check machines/eq_ab.rca",
+    "check",
+    "check machines/eq_ab.rca extra",
+    "check machines/eq_ab.rca --mode bad",
+    "lk",
+    "valc nope",
+    "valc build machines/hartmanis.mcm --part 3 -o OUT",
+    "example balanced-k:11",
+    "example balanced-k:x",
+    "run machines/eq_ab.rca ab --fuel -1",
+    "check machines/eq_ab.rca --mode roundtrip --max-len -1",
+    "check machines",
+    "normalize machines/eq_ab.rca -o /nonexistent/x.rca",
+    "run machines/double_step.rca abab --backward",
+    "valc encode machines/hartmanis.mcm --i -1",
+    "mcm run machines/hartmanis.mcm --i 2 --fuel -1",
+    "lk decide ab --k 1",
+]
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of ``main(argv)``, help and usage exits
+    included."""
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("invocation", INVOCATIONS, ids=repr)
+def test_cli_narrowed_parser_answers_as_the_full_one(invocation, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    argv = invocation.replace("OUT", str(tmp_path / "out.rca")).split()
+    narrowed = _outcome(argv, capsys)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert _outcome(argv, capsys) == narrowed
+
+
+def test_cli_check_builds_only_its_own_parser(capsys, monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["check", str(MACHINES / "eq_ab.rca")]) == 0
+    capsys.readouterr()
+    assert built == ["revca", "revca check"]
 
 
 EQ_AB_TEXT = (MACHINES / "eq_ab.rca").read_text()
