@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success (and for ACCEPT verdicts), 1 for REJECT verdicts
 and failed checks, 2 for usage, parse, or validation problems.  Results go to
-stdout, diagnostics to stderr.
+stdout, diagnostics to stderr.  A failing command raises, and ``main`` turns
+the exception into one ``error: …`` line and exit 2.
 """
 
 from __future__ import annotations
@@ -63,8 +64,7 @@ def cmd_run(args) -> int:
     if args.backward:
         verdict = reversibility.derive_reverse(machine)
         if not verdict.reversible:
-            print("machine is not reversible; cannot replay backward", file=sys.stderr)
-            return 2
+            raise MachineError("machine is not reversible; cannot replay backward")
         # a replay of an n-step run takes exactly n steps back; a run that
         # revisits its start could otherwise be stepped back forever
         back = [outcome.final]
@@ -77,8 +77,7 @@ def cmd_run(args) -> int:
         for cfg in back:
             print(_fmt_config(cfg))
         if back[-1] != machine.initial_configuration(word):
-            print("backward replay did not reach the initial configuration", file=sys.stderr)
-            return 2
+            raise MachineError("backward replay did not reach the initial configuration")
     print(f"{outcome.verdict.value} steps={outcome.steps}")
     if outcome.diagnostic:
         print(outcome.diagnostic, file=sys.stderr)
@@ -156,8 +155,7 @@ def cmd_example(args) -> int:
     name, colon, k = args.name.partition(":")
     build = _EXAMPLES.get(f"{name}:K" if colon else name)
     if build is None:
-        print(f"unknown example {args.name!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown example {args.name!r}")
     if colon:
         try:
             k = int(k)

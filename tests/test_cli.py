@@ -394,6 +394,51 @@ def test_cli_malformed_header_exit_2(tmp_path, capsys, suffix, original, old, ne
     assert capsys.readouterr().err.startswith(f"error: line {line}:")
 
 
+# failures whose error line no other test pins, as (invocation, the text of
+# FILE or None, the error message); an invocation of mcm reads FILE as .mcm
+FAILURES = [
+    ("check FILE", EQ_AB_TEXT.replace("counters 1\n", "") + "counters 1\n",
+     "line 6: transition before the counters header"),
+    ("check FILE", "revca-format 1\nalphabet a\nstates q\ninitial q\naccepting\n",
+     "line 0: missing 'counters' line"),
+    ("check FILE", EQ_AB_TEXT.replace("alphabet a b\n", "alphabet a b <\n"),
+     "line 3: endmarker '<' cannot be an alphabet token"),
+    ("mcm run FILE --i 1", DOUBLE_TEXT.replace("r q0 2 qf qf\n", "r q0 2 qf\n"),
+     "line 5: expected: r <state> <mult> <p> <r>"),
+    ("mcm run FILE --i 1", DOUBLE_TEXT.replace("r q0 2 qf qf\n", "r q0 2 qf qx\n"),
+     "line 5: rule 'q0' references unknown state 'qx'"),
+    ("mcm run FILE --i 1", DOUBLE_TEXT.replace("initial q0\n", "initial qx\n"),
+     "line 0: initial state 'qx' unknown"),
+    ("mcm run FILE --i 1", DOUBLE_TEXT.replace("final qf\n", "final qx\n"),
+     "line 0: final state 'qx' unknown"),
+    ("mcm run FILE --i 1",
+     DOUBLE_TEXT.replace("states q0 qf\n", "states q0 qf qx\n")
+     .replace("initial q0\n", "initial qx\n").replace("final qf\n", "final qx\n"),
+     "line 0: initial and final states coincide"),
+    ("run machines/regular_witness.rca ab --backward", None,
+     "machine is not reversible; cannot replay backward"),
+    ("run machines/eq_ab.rca abx", None, "token 'abx' not in alphabet"),
+    ("lk gen --k 2 --j 0 --i 1", None, "need k >= 2, j >= 1, 1 <= i <= k"),
+    ("example no-such-machine", None, "unknown example 'no-such-machine'"),
+]
+
+
+@pytest.mark.parametrize(
+    "invocation, text, message",
+    FAILURES,
+    ids=["transition-before-counters", "counters-missing", "endmarker-in-alphabet", "mcm-rule-four-fields",
+         "mcm-rule-unknown-state", "mcm-initial-unknown", "mcm-final-unknown", "mcm-initial-is-final",
+         "backward-irreversible", "word-outside-alphabet", "lk-gen-j-0", "example-unknown"],
+)
+def test_cli_failure_prints_one_error_line_and_exits_2(invocation, text, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    path = tmp_path / ("bad.mcm" if invocation.startswith("mcm") else "bad.rca")
+    if text is not None:
+        path.write_text(text)
+    assert main(invocation.replace("FILE", str(path)).split()) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # SHA-256 of `revca check` stdout; the hartmanis entry checks the history
 # acceptor that `revca valc build machines/hartmanis.mcm` writes, the others
 # the shipped machines of that name.

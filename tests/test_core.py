@@ -84,6 +84,18 @@ def test_validate_clean_example():
     assert validate(build_eq_ab()) == []
 
 
+def test_validate_reports_a_negative_counter_count():
+    m = CounterAutomaton(
+        states=frozenset({"q"}),
+        alphabet=frozenset({"a"}),
+        k=-1,
+        transitions=(),
+        initial="q",
+        accepting=frozenset(),
+    )
+    assert validate(m) == ["counter count k=-1 is negative"]
+
+
 def test_validate_zero_decrement():
     m = make_automaton(
         [("q", "a", "Z", "q", 1, (-1,))], initial="q", accepting=[], k=1

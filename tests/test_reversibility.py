@@ -181,6 +181,11 @@ def test_quasi_realtime_bounds():
     assert frag[-1].state == "qf"
 
 
+def test_quasi_realtime_refuses_a_negative_ell():
+    with pytest.raises(ValueError, match="^ell must be non-negative$"):
+        check_quasi_realtime(build_eq_ab(), -1, 2)
+
+
 def test_quasi_realtime_static_cycle_advisory():
     m = make_automaton(
         [("q", "a", "Z", "q", 0, (0,))], initial="q", accepting=[], k=1

@@ -91,6 +91,11 @@ def test_encode_refuses_rejecting_runs():
         valc_encode(hartmanis_example(), 0)
 
 
+def test_slow_part_refuses_a_third_part():
+    with pytest.raises(ValueError, match="^part must be 1 or 2$"):
+        build_valc_part_slow(hartmanis_example(), 3)
+
+
 def test_reference_decider_rejects_shape_breaks():
     m = hartmanis_example()
     assert valc_decide(m, GOLDEN)

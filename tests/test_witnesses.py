@@ -52,6 +52,11 @@ def test_scattered_factor():
         scattered_factor("010", 2, 1)
 
 
+def test_scattered_factor_refuses_a_start_outside_the_block():
+    with pytest.raises(ValueError, match=r"^i=0 outside \[1, 2\]$"):
+        scattered_factor("0101", 2, 0)
+
+
 def test_decide_Lk_examples():
     assert decide_Lk(2, "abaB$$Bb") is True
     assert decide_Lk(2, "abab") is False
