@@ -101,6 +101,8 @@ def _repr_order(entries: dict) -> list[tuple]:
 
 
 def cmd_check(args) -> int:
+    if args.mode == "roundtrip" and args.max_len < 0:
+        raise ValueError("max_len must be non-negative")  # before any verdict is printed
     machine = _load_automaton(args.file)
     verdict = reversibility.derive_reverse(machine)
     if not verdict.reversible:

@@ -51,6 +51,10 @@ class NegativeCounterError(MachineError):
     pass
 
 
+class FuelExhaustedError(MachineError):
+    """A run spent its fuel before it halted, so it has no verdict."""
+
+
 class Transition(NamedTuple):
     state: State
     token: Token
@@ -622,7 +626,12 @@ def run(
 
 
 def accepts(machine: CounterAutomaton, word: Iterable[Token], fuel: int = 10_000) -> bool:
-    return run(machine, word, fuel).accepted
+    """Whether the run on ``word`` halts accepting; a run cut by its fuel
+    raises ``FuelExhaustedError`` rather than reading as a reject."""
+    outcome = run(machine, word, fuel)
+    if outcome.verdict is Verdict.FUEL_EXHAUSTED:
+        raise FuelExhaustedError(f"no verdict within {fuel} steps")
+    return outcome.accepted
 
 
 def all_words(alphabet: Iterable[str], max_len: int):

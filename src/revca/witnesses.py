@@ -19,6 +19,7 @@ from .constructions import product_intersection
 BARRED = {"A": "a", "B": "b"}
 LETTER_BITS = {"a": "0", "b": "1", "A": "0", "B": "1"}
 _BITS = str.maketrans(LETTER_BITS)  # passes unmapped letters through: validate first
+_BIT_BYTES = bytes.maketrans(b"abAB", b"0101")  # LETTER_BITS on ASCII bytes
 _LK_SHAPE = re.compile(r"([ab]*[AB])(\$+)([AB][ab]*)")  # u z1, $^i, z2 v
 
 
@@ -55,19 +56,29 @@ def decide_Lk(k: int, word: str) -> bool:
     u and v are unbarred, z1/z2 are the barred letters A/B, |u z1| is a
     positive multiple of k, and 1 <= i <= k.  Malformed shapes are simply
     non-members.
+
+    A pre-test answers most non-members before the regex: u z1 holds no
+    ``$``, so a member's first ``$`` sits at position p = |u z1|, right after
+    the barred z1.  A word whose first ``$`` is missing, sits before
+    position k or at no multiple of k, or follows an unbarred letter cannot
+    be a member.  Words that pass get the full shape match.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
+    p = word.find("$")
+    if p < k or p % k or word[p - 1] not in BARRED:
+        return False
     shape = _LK_SHAPE.fullmatch(word)
     if shape is None:
         return False
-    prefix, separators, suffix = shape.groups()
-    i = len(separators)
-    if i > k or len(prefix) % k:
+    q = shape.end(2)  # the $ run is word[p:q], so i = q - p
+    if q - p > k:
         return False
-    # the match has checked every letter, and both bit strings are nonempty
-    left = int(prefix[i - 1 :: k].translate(_BITS), 2)
-    return left >= 1 and left == int(suffix[::-1].translate(_BITS), 2)
+    # the match has limited the word to ASCII; two bit strings have equal
+    # values exactly when they agree without their leading zeros
+    bits = word.encode().translate(_BIT_BYTES)
+    left = bits[q - p - 1 : p : k].lstrip(b"0")
+    return left != b"" and left == bits[: q - 1 : -1].lstrip(b"0")
 
 
 def gen_Lk_member(k: int, j: int, i: int, seed: int = 0) -> str:

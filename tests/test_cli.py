@@ -132,7 +132,7 @@ def test_cli_check_roundtrip(capsys):
 def test_cli_check_negative_max_len_exit_2(capsys):
     rc = main(["check", str(MACHINES / "eq_ab.rca"), "--mode", "roundtrip", "--max-len", "-1"])
     assert rc == 2
-    assert capsys.readouterr().err == "error: max_len must be non-negative\n"
+    assert capsys.readouterr() == ("", "error: max_len must be non-negative\n")
 
 
 def test_cli_normalize_and_run(tmp_path, capsys):

@@ -12,6 +12,7 @@ from revca.constructions import normalize_extended, product_intersection, speedu
 from revca.core import (
     Configuration,
     CounterAutomaton,
+    FuelExhaustedError,
     InvalidConfigurationError,
     InvalidTransitionEffectError,
     LEFT_END,
@@ -24,6 +25,7 @@ from revca.core import (
     Verdict,
     ZERO,
     _counter_kernel,
+    accepts,
     all_words,
     make_automaton,
     rename_states,
@@ -198,6 +200,15 @@ def test_run_fuel_semantics():
     assert run(m, "ab", 4).verdict is Verdict.ACCEPT
     assert run(m, "ab", 3).verdict is Verdict.FUEL_EXHAUSTED
     assert run(m, "ab", 3).steps == 3
+
+
+def test_accepts_raises_on_a_spent_fuel():
+    m = parse_automaton((MACHINES / "toy_stationary.rca").read_text())
+    assert run(m, "aaa", 10_000).steps == 8
+    assert accepts(m, "aaa") is True
+    assert accepts(m, "aaa", 8) is True
+    with pytest.raises(FuelExhaustedError, match="^no verdict within 2 steps$"):
+        accepts(m, "aaa", 2)
 
 
 def test_run_trace_records_every_configuration():

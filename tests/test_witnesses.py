@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from revca import witnesses
 from revca.core import all_words, run, validate
 from revca.reversibility import derive_reverse, verify_roundtrip
 from revca.witnesses import (
@@ -172,6 +173,36 @@ def test_Lk_deciders_match_references_on_every_short_word_for_k_4():
     for n in range(7):
         for tup in product("abAB$", repeat=n):
             _assert_deciders_match_references(4, "".join(tup))
+
+
+def test_decide_Lk_turns_malformed_words_away_before_the_shape_match(monkeypatch):
+    """A word whose first $ is missing, comes before k, lies at no multiple
+    of k, or follows an unbarred letter is a non-member without the regex."""
+    seen = []
+
+    class Shape:
+        def fullmatch(self, word):
+            seen.append(word)
+            return None
+
+    monkeypatch.setattr(witnesses, "_LK_SHAPE", Shape())
+    for k, word in ((2, ""), (2, "ab"), (2, "$A"), (3, "aB$B"), (2, "abB$B"), (2, "ab$B")):
+        assert decide_Lk(k, word) is False, (k, word)
+    assert seen == []
+    assert decide_Lk(2, "aB$Bb") is False
+    assert seen == ["aB$Bb"]
+
+
+def test_decide_Lk_matches_reference_over_a_wider_alphabet():
+    """On words holding letters outside abAB$, one of them not ASCII, both
+    deciders agree with the reference and neither raises."""
+    for n in range(7):
+        for tup in product("abAB$x\u00e9", repeat=n):
+            word = "".join(tup)
+            for k in range(2, 6):
+                expected = _decide_Lk_reference(k, word)
+                assert decide_Lk(k, word) == expected, (k, word)
+                assert brute_force_Lk(k, word) == expected, (k, word)
 
 
 def test_gen_Lk_member_shapes():
