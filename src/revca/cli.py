@@ -13,7 +13,7 @@ import gc
 import sys
 
 from . import constructions, formats, mcm, reversibility, valc, witnesses
-from .core import CounterAutomaton, MachineError, rename_states, run
+from .core import CounterAutomaton, MachineError, run
 
 
 def _load_automaton(path: str) -> CounterAutomaton:
@@ -26,15 +26,9 @@ def _load_mcm(path: str) -> mcm.MultCounterMachine:
         return formats.parse_mcm(fh.read())
 
 
-def _serialize(machine: CounterAutomaton) -> str:
-    if any(not isinstance(s, str) for s in machine.states):
-        machine = rename_states(machine)
-    return formats.serialize_automaton(machine)
-
-
 def _write_automaton(machine: CounterAutomaton, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_serialize(machine))
+        fh.write(formats.serialize_automaton(machine))
 
 
 def _split_word(machine: CounterAutomaton, text: str) -> list[str]:
@@ -167,7 +161,7 @@ def cmd_example(args) -> int:
     if args.output:
         _write_automaton(machine, args.output)
     else:
-        sys.stdout.write(_serialize(machine))
+        sys.stdout.write(formats.serialize_automaton(machine))
     return 0
 
 

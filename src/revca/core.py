@@ -285,8 +285,9 @@ class CounterAutomaton:
         """Each transition under its (state, token, statuses) key, for the
         probes whose keys may fall outside ``_index``: ``step`` and so the
         runs of a machine that fails ``validate``, and the constructions'
-        key probes."""
-        return {t.key: t for t in self.transitions}
+        key probes, and ``validate``'s determinism check; a repeated key holds
+        its last transition."""
+        return dict(zip(map(itemgetter(0, 1, 2), self.transitions), self.transitions))
 
     @cached_property
     def outgoing(self) -> dict[State, list[Transition]]:
@@ -482,7 +483,7 @@ def defects_by_transition(machine: CounterAutomaton):
     transitions, states, alphabet = machine.transitions, machine.states, machine.alphabet
     effects = {effect: _effect_defects(machine, *effect) for effect in set(map(itemgetter(2, 5), transitions))}
     if (
-        len(dict(zip(map(itemgetter(0, 1, 2), transitions), transitions))) == len(transitions)
+        len(machine.table) == len(transitions)
         and states.issuperset(map(itemgetter(0), transitions))
         and states.issuperset(map(itemgetter(3), transitions))
         and all(
@@ -644,8 +645,9 @@ def all_words(alphabet: Iterable[str], max_len: int):
 
 def rename_states(machine: CounterAutomaton) -> CounterAutomaton:
     """Deterministically rename states to ``s0``, ``s1``, ... (breadth-first
-    from the initial state, leftovers in repr order); used before
-    serialization since constructed machines carry tuple-shaped states.
+    from the initial state, leftovers in repr order): the names under which
+    ``formats.serialize_automaton`` writes a machine whose states are not all
+    strings, such as a constructed machine's tuples.
 
     The search names each target as it emits the renamed transition, so every
     transition costs one lookup of its target; the transitions come out in

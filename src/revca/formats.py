@@ -16,6 +16,7 @@ from .core import (
     RIGHT_END,
     Transition,
     defects_by_transition,
+    rename_states,
 )
 from .mcm import McmError, McmRule, MultCounterMachine, make_mcm
 
@@ -177,10 +178,10 @@ def delta_text(deltas: tuple[int, ...]) -> str:
 
 def serialize_automaton(machine: CounterAutomaton) -> str:
     """Canonical text: states sorted, transitions sorted by key, the left
-    endmarker before the alphabet and the right one after it."""
-    for st in machine.states:
-        if not isinstance(st, str):
-            raise TypeError(f"state {st!r} is not a string; rename_states first")
+    endmarker before the alphabet and the right one after it.  States that
+    are not all strings are written under ``rename_states``' names."""
+    if not all(isinstance(st, str) for st in machine.states):
+        machine = rename_states(machine)
     lines = [
         "revca-format 1",
         f"counters {machine.k}",

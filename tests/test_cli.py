@@ -250,19 +250,24 @@ def test_cli_valc_build_part(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_serializer_needs_string_states_and_rename_is_deterministic():
-    from revca.constructions import product_intersection
+def test_serializer_writes_tuple_states_under_rename_states_names(valc_machines):
+    from revca.constructions import normalize_extended, product_intersection, speedup
     from revca.core import rename_states
-    from revca.witnesses import build_balance_factor
+    from revca.witnesses import build_balance_factor, build_balanced
 
-    prod = product_intersection(
-        build_balance_factor("abc", "b"), build_balance_factor("abc", "c")
-    )
-    with pytest.raises(TypeError):
-        serialize_automaton(prod)  # tuple states must be renamed first
-    first = serialize_automaton(rename_states(prod))
-    second = serialize_automaton(rename_states(prod))
-    assert first == second
+    from conftest import toy_stationary_counter
+
+    constructed = [m for _, *built in valc_machines.values() for m in built] + [
+        product_intersection(build_balance_factor("abc", "b"), build_balance_factor("abc", "c")),
+        build_balanced(3),
+        build_balanced(4),
+        normalize_extended(parse_automaton((MACHINES / "double_step.rca").read_text())),
+        speedup(toy_stationary_counter(), 1),
+    ]
+    for m in constructed:
+        assert not all(isinstance(s, str) for s in m.states), m.name
+        text = serialize_automaton(m)
+        assert text == serialize_automaton(rename_states(m)) == serialize_automaton(m), m.name
 
 
 def test_cli_bad_file_exit_2(tmp_path, capsys):
@@ -456,12 +461,10 @@ CHECK_EXIT = {"regular_witness": 1}  # irreversible: the output lists its confli
 def test_cli_check_output_is_pinned(name, tmp_path, capsys, request):
     import hashlib
 
-    from revca.cli import _serialize
-
     if name == "hartmanis":
         prod = request.getfixturevalue("valc_machines")[name][3]
         path = tmp_path / f"{name}.rca"
-        path.write_text(_serialize(prod))
+        path.write_text(serialize_automaton(prod))
     else:
         path = MACHINES / f"{name}.rca"
     assert main(["check", str(path)]) == CHECK_EXIT.get(name, 0)

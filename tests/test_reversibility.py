@@ -1,6 +1,7 @@
 import random
 from itertools import product
 from operator import add
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -39,6 +40,7 @@ from revca.reversibility import (
     step_back,
     verify_roundtrip,
 )
+from revca.formats import parse_automaton
 from revca.witnesses import build_balanced, build_eq_ab, build_regular_witness
 
 from conftest import toy_stationary_counter
@@ -864,3 +866,28 @@ def test_stationary_cycle_advisories_are_pinned():
         "stationary cycle: ('p', 'a', ('P',)) -> ('q', 'a', ('P',)) -> ('p', 'a', ('P',))",
         "stationary cycle: ('u', 'b', ('Z',)) -> ('w', 'b', ('Z',)) -> ('u', 'b', ('Z',))",
     ]
+
+
+# Verdicts that a spent fuel cuts short (ROADMAP item 15), each stated as the
+# property it breaks on the shipped stationary demo.  A fix turns its test
+# into an unexpected pass, which fails until the mark is removed.
+TOY_STATIONARY = Path(__file__).resolve().parent.parent / "machines" / "toy_stationary.rca"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="a roundtrip sweep cut by its fuel reads as a pass")
+def test_verify_roundtrip_does_not_pass_a_sweep_its_fuel_cut():
+    m = parse_automaton(TOY_STATIONARY.read_text())
+    entries = dict(derive_reverse(m).table.entries)
+    del entries["qacc", ">", (ZERO,)]
+    bad = ReverseTable(entries)
+    assert verify_roundtrip(m, bad, 4) is not None
+    # the empty word's run fails at its second step, which a fuel of one cuts
+    assert verify_roundtrip(m, bad, 4, fuel=1) is not None
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="check_quasi_realtime passes runs its fuel cut")
+def test_check_quasi_realtime_does_not_pass_runs_its_fuel_cut():
+    m = parse_automaton(TOY_STATIONARY.read_text())
+    assert not check_quasi_realtime(m, 0, 3, fuel=2).ok
+    # every run's second step is stationary, and a fuel of one cuts it
+    assert not check_quasi_realtime(m, 0, 3, fuel=1).ok

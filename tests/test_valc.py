@@ -5,6 +5,7 @@ import pytest
 
 from revca import valc
 from revca.core import MachineError, run, validate
+from revca.formats import serialize_automaton
 from revca.reversibility import derive_reverse, roundtrip_word
 from revca.mcm import McmStatus, doubling_example, hartmanis_example, make_mcm, mcm_run
 from revca.valc import (
@@ -370,10 +371,8 @@ PRODUCT_SHA256 = {
 def test_product_serialization_is_pinned(valc_machines):
     import hashlib
 
-    from revca.cli import _serialize
-
     for name, (_machine, _v1, _v2, prod) in valc_machines.items():
-        digest = hashlib.sha256(_serialize(prod).encode()).hexdigest()
+        digest = hashlib.sha256(serialize_automaton(prod).encode()).hexdigest()
         assert digest == PRODUCT_SHA256[name], name
 
 
@@ -391,14 +390,13 @@ def test_resplit_parts_give_the_former_product(valc_machines):
     import hashlib
     from dataclasses import replace
 
-    from revca.cli import _serialize
     from revca.constructions import normalize_extended, product_intersection
     from revca.reversibility import _stationary_scan
 
     for name, (machine, v1, v2, _prod) in valc_machines.items():
         bounds = [_stationary_scan(build_valc_part_slow(machine, part))[1] for part in (1, 2)]
         resplit = [normalize_extended(replace(v, max_delta=b + 1)) for v, b in zip((v1, v2), bounds)]
-        digest = hashlib.sha256(_serialize(product_intersection(*resplit)).encode()).hexdigest()
+        digest = hashlib.sha256(serialize_automaton(product_intersection(*resplit)).encode()).hexdigest()
         assert digest == RESPLIT_PRODUCT_SHA256[name], name
 
 
@@ -414,11 +412,9 @@ SLOW_PART_SHA256 = {
 def test_slow_part_serialization_is_pinned(part):
     import hashlib
 
-    from revca.cli import _serialize
-
     for machine in (hartmanis_example(), doubling_example()):
         slow = build_valc_part_slow(machine, part)
-        digest = hashlib.sha256(_serialize(slow).encode()).hexdigest()
+        digest = hashlib.sha256(serialize_automaton(slow).encode()).hexdigest()
         assert digest == SLOW_PART_SHA256[machine.name, part], machine.name
 
 
