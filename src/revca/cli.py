@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
+import stat
 import sys
 
 from . import constructions, formats, mcm, reversibility, valc, witnesses
@@ -27,8 +29,27 @@ def _load_mcm(path: str) -> mcm.MultCounterMachine:
 
 
 def _write_automaton(machine: CounterAutomaton, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(formats.serialize_automaton(machine))
+    """Write ``machine`` to ``path`` in place: open without truncating, write
+    the text, then cut a regular file to the text's length.
+
+    ``open(path, "w")`` truncates to zero, and on ext4 (with its default
+    ``auto_da_alloc``) closing a file truncated that way starts its
+    writeback, which the next rewrite's truncate then waits for; a
+    temporary file renamed over the output with ``os.replace`` waits the
+    same way.  In loops rewriting 60 kB (CPython 3.11, ext4 on a shared
+    2-core x86-64 VM), either took 44–85 ms a rewrite against under 0.2 ms
+    in place, and the wait was about nine tenths of a hartmanis ``valc
+    build``.  The bytes, inode, hard links and mode come
+    out as with ``"w"``, and as with ``"w"`` the write is not atomic.  Only
+    a regular file is truncated, so ``/dev/null``, FIFOs and
+    ``/dev/stdout`` on a pipe work as outputs.
+    """
+    text = formats.serialize_automaton(machine)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def _split_word(machine: CounterAutomaton, text: str) -> list[str]:

@@ -1,4 +1,7 @@
 import argparse
+import os
+import stat
+import threading
 from pathlib import Path
 
 import pytest
@@ -514,6 +517,69 @@ def test_cli_construction_output_is_pinned(name, tmp_path):
     path = tmp_path / "out.rca"
     assert main([*argv, "-o", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def _eq_ab_text(capsys) -> str:
+    """The stdout form of `revca example eq-ab`, the bytes each -o case expects."""
+    assert main(["example", "eq-ab"]) == 0
+    return capsys.readouterr().out
+
+
+def test_cli_output_rewrites_a_longer_file_to_exactly_the_new_bytes(tmp_path, capsys):
+    expected = _eq_ab_text(capsys)
+    path = tmp_path / "out.rca"
+    path.write_text("stale line\n" * 10 * len(expected))
+    assert main(["example", "eq-ab", "-o", str(path)]) == 0
+    assert path.read_bytes() == expected.encode()
+
+
+def test_cli_output_rewrite_keeps_inode_links_and_mode(tmp_path, capsys):
+    expected = _eq_ab_text(capsys)
+    path, link = tmp_path / "out.rca", tmp_path / "link.rca"
+    path.write_text("x" * 100_000)
+    path.chmod(0o640)
+    os.link(path, link)
+    before = path.stat()
+    assert main(["example", "eq-ab", "-o", str(path)]) == 0
+    after = path.stat()
+    assert (after.st_ino, after.st_nlink, after.st_mode) == (before.st_ino, 2, before.st_mode)
+    assert link.read_bytes() == path.read_bytes() == expected.encode()
+
+
+def test_cli_output_new_file_gets_0o666_less_umask(tmp_path, capsys):
+    path = tmp_path / "out.rca"
+    old = os.umask(0o027)
+    try:
+        assert main(["example", "eq-ab", "-o", str(path)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027
+    capsys.readouterr()
+
+
+def test_cli_output_to_dev_null_exits_0(capsys):
+    assert main(["example", "eq-ab", "-o", "/dev/null"]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_cli_output_into_a_fifo_delivers_the_full_text(tmp_path, capsys):
+    expected = _eq_ab_text(capsys)
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["example", "eq-ab", "-o", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive() and received == [expected.encode()]
+    assert capsys.readouterr() == ("", "")
+
+
+def test_cli_output_naming_a_directory_prints_one_error_line_and_exits_2(tmp_path, capsys):
+    assert main(["example", "eq-ab", "-o", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # State names whose reprs order differently from the names themselves: `!`
