@@ -57,8 +57,6 @@ class MoveDisagreementError(MachineError):
             f"lockstep product needs agreeing head moves: {first.key} moves "
             f"{first.move}, {second.key} moves {second.move}"
         )
-        self.first = first
-        self.second = second
 
 
 def _carry(residues: tuple[int, ...], statuses: tuple[str, ...], deltas: tuple[int, ...], c: int):

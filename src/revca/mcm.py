@@ -154,22 +154,3 @@ def encode_string(text: str) -> int:
         total += int(ch) * 3**pos
     return total
 
-
-def hartmanis_example() -> MultCounterMachine:
-    """Five-rule machine whose run from 2**4 doubles once then divides down to
-    eight; the placeholder branches go to a rule-less sink."""
-    return make_mcm(
-        [
-            ("q0", 2, "q1", "qs"),
-            ("q1", Fraction(1, 2), "q2", "qs"),
-            ("q2", Fraction(1, 3), "qs", "q3"),
-            ("q3", Fraction(1, 2), "q4", "qs"),
-            ("q4", Fraction(1, 5), "qs", "qf"),
-        ],
-        name="hartmanis",
-    )
-
-
-def doubling_example() -> MultCounterMachine:
-    """Single rule that doubles the register and accepts."""
-    return make_mcm([("q0", 2, "qf", "qf")], name="double")

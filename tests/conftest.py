@@ -1,26 +1,47 @@
+import random
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+from revca import cli
 from revca.core import make_automaton
 from revca.constructions import product_intersection
-from revca.mcm import doubling_example, hartmanis_example
 from revca.valc import build_valc1, build_valc2
 
+MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
-def toy_stationary_counter():
-    """One stationary counter bump then a moving bump per letter; accepts a*."""
+
+def stock(name):
+    """The shipped machine ``machines/<name>``, read through the CLI's loader
+    for its suffix and named after its file.  Each call parses afresh, so no
+    test sees the index or table that another test's copy cached."""
+    load = cli._load_mcm if name.endswith(".mcm") else cli._load_automaton
+    return replace(load(str(MACHINES / name)), name=Path(name).stem)
+
+
+def random_extended_machine(rng: random.Random):
+    """One or two counters over {a, b}, steps of up to a drawn c in [1, 4];
+    the machine may fail ``validate``."""
+    k = rng.choice((1, 1, 2))
+    c = rng.randint(1, 4)
+    states = [f"s{i}" for i in range(rng.randint(2, 5))]
+    keys = set()
+    transitions = []
+    for _ in range(rng.randint(4, 12)):
+        state = rng.choice(states)
+        token = rng.choice(["a", "b", "<", ">"])
+        statuses = tuple(rng.choice("ZP") for _ in range(k))
+        if (state, token, statuses) in keys:
+            continue
+        keys.add((state, token, statuses))
+        move = 0 if token == ">" else rng.choice((0, 1, 1))
+        deltas = tuple(rng.randint(0 if s == "Z" else -c, c) for s in statuses)
+        transitions.append((state, token, statuses, rng.choice(states), move, deltas))
+    accepting = [s for s in states if rng.random() < 0.4]
     return make_automaton(
-        [
-            ("q0", "<", "Z", "q1", 1, (0,)),
-            ("q1", "a", "Z", "q1s", 0, (1,)),
-            ("q1", "a", "P", "q1s", 0, (1,)),
-            ("q1s", "a", "P", "q1", 1, (1,)),
-            ("q1", ">", "Z", "qacc", 0, (0,)),
-            ("q1", ">", "P", "qacc", 0, (0,)),
-        ],
-        initial="q0",
-        accepting=["qacc"],
-        k=1,
-        name="toy-stationary",
+        transitions, initial="s0", accepting=accepting, k=k,
+        alphabet={"a", "b"}, max_delta=c,
     )
 
 
@@ -67,8 +88,8 @@ def toy_parity_dfa():
 def valc_machines():
     """Sped-up part acceptors and their products for the two sample machines."""
     out = {}
-    for mk in (hartmanis_example, doubling_example):
-        machine = mk()
+    for name in ("hartmanis.mcm", "double.mcm"):
+        machine = stock(name)
         v1 = build_valc1(machine)
         v2 = build_valc2(machine)
         out[machine.name] = (machine, v1, v2, product_intersection(v1, v2))

@@ -11,7 +11,7 @@ from revca.cli import main
 from revca.constructions import normalize_extended, speedup
 from revca.core import all_words, make_automaton, run, validate
 from revca.formats import parse_automaton, parse_mcm, serialize_automaton, serialize_mcm
-from revca.mcm import McmStatus, hartmanis_example, mcm_run
+from revca.mcm import McmStatus, mcm_run
 from revca.reversibility import (
     derive_reverse,
     derive_reverse_any,
@@ -27,7 +27,7 @@ from revca.witnesses import (
     gen_Lk_member,
 )
 
-from conftest import toy_burst_machine, toy_parity_dfa, toy_stationary_counter
+from conftest import random_extended_machine, stock, toy_burst_machine, toy_parity_dfa
 from test_reversibility import EQ_AB_BACKWARD
 from test_valc import GOLDEN, mutate
 
@@ -118,36 +118,13 @@ def test_criterion_03_roundtrips(valc_machines):
                     assert roundtrip_word(target, verdict.table, w, fuel=5000) is None
 
 
-def _random_extended(rng):
-    k = rng.choice((1, 1, 2))
-    c = rng.randint(1, 4)
-    states = [f"s{i}" for i in range(rng.randint(2, 5))]
-    keys = set()
-    transitions = []
-    for _ in range(rng.randint(4, 12)):
-        state = rng.choice(states)
-        token = rng.choice(["a", "b", "<", ">"])
-        statuses = tuple(rng.choice("ZP") for _ in range(k))
-        if (state, token, statuses) in keys:
-            continue
-        keys.add((state, token, statuses))
-        move = 0 if token == ">" else rng.choice((0, 1, 1))
-        deltas = tuple(rng.randint(0 if s == "Z" else -c, c) for s in statuses)
-        transitions.append((state, token, statuses, rng.choice(states), move, deltas))
-    accepting = [s for s in states if rng.random() < 0.4]
-    return make_automaton(
-        transitions, initial="s0", accepting=accepting, k=k,
-        alphabet={"a", "b"}, max_delta=c,
-    )
-
-
 def test_criterion_04_normalization_sweep():
     with _Timer(4, "extended-step normalization on 50 random machines"):
         rng = random.Random(90125)
         built = 0
         reversible_seen = 0
         while built < 50:
-            m = _random_extended(rng)
+            m = random_extended_machine(rng)
             if validate(m):
                 continue
             built += 1
@@ -174,7 +151,7 @@ def test_criterion_04_normalization_sweep():
 def test_criterion_05_speedup_suite():
     with _Timer(5, "quasi-real-time speed-up on the toy suite"):
         suite = [
-            (toy_stationary_counter(), 1),
+            (stock("toy_stationary.rca"), 1),
             (toy_burst_machine(), 2),
             (toy_parity_dfa(), 0),
             (build_eq_ab(), 1),
@@ -203,7 +180,7 @@ def test_criterion_05_speedup_suite():
 
 def test_criterion_06_mcm_golden_trace():
     with _Timer(6, "multiplying-counter golden trace"):
-        out = mcm_run(hartmanis_example(), 4)
+        out = mcm_run(stock("hartmanis.mcm"), 4)
         assert out.status is McmStatus.HALTED_FINAL
         assert [(c.state, c.n) for c in out.trace] == [
             ("q0", 16), ("q1", 32), ("q2", 16), ("q3", 16), ("q4", 8), ("qf", 8),
@@ -212,7 +189,7 @@ def test_criterion_06_mcm_golden_trace():
 
 def test_criterion_07_golden_history_string():
     with _Timer(7, "history encoding token fidelity"):
-        word = valc_encode(hartmanis_example(), 4)
+        word = valc_encode(stock("hartmanis.mcm"), 4)
         assert list(word.surface()) == GOLDEN
 
 

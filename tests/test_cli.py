@@ -21,7 +21,7 @@ from revca.formats import (
     serialize_automaton,
     serialize_mcm,
 )
-from revca.witnesses import build_eq_ab
+from revca.witnesses import build_balanced, build_eq_ab, build_regular_witness
 
 REPO = Path(__file__).resolve().parent.parent
 MACHINES = REPO / "machines"
@@ -51,8 +51,16 @@ def test_mcm_roundtrip(path):
     assert parse_mcm(serialize_mcm(machine)) == machine
 
 
-def test_shipped_eq_ab_matches_builder():
-    assert parse_automaton((MACHINES / "eq_ab.rca").read_text()) == build_eq_ab()
+SHIPPED_BUILDERS = {
+    "balanced3.rca": lambda: build_balanced(3),
+    "eq_ab.rca": build_eq_ab,
+    "regular_witness.rca": build_regular_witness,
+}
+
+
+@pytest.mark.parametrize("name", SHIPPED_BUILDERS)
+def test_shipped_file_matches_builder(name):
+    assert (MACHINES / name).read_text() == serialize_automaton(SHIPPED_BUILDERS[name]())
 
 
 def test_parse_errors_carry_line_numbers():
@@ -256,16 +264,16 @@ def test_cli_valc_build_part(tmp_path, capsys):
 def test_serializer_writes_tuple_states_under_rename_states_names(valc_machines):
     from revca.constructions import normalize_extended, product_intersection, speedup
     from revca.core import rename_states
-    from revca.witnesses import build_balance_factor, build_balanced
+    from revca.witnesses import build_balance_factor
 
-    from conftest import toy_stationary_counter
+    from conftest import stock
 
     constructed = [m for _, *built in valc_machines.values() for m in built] + [
         product_intersection(build_balance_factor("abc", "b"), build_balance_factor("abc", "c")),
         build_balanced(3),
         build_balanced(4),
-        normalize_extended(parse_automaton((MACHINES / "double_step.rca").read_text())),
-        speedup(toy_stationary_counter(), 1),
+        normalize_extended(stock("double_step.rca")),
+        speedup(stock("toy_stationary.rca"), 1),
     ]
     for m in constructed:
         assert not all(isinstance(s, str) for s in m.states), m.name

@@ -2,7 +2,6 @@ import random
 from dataclasses import replace
 from itertools import groupby, product as cartesian
 from operator import attrgetter
-from pathlib import Path
 
 import pytest
 
@@ -21,8 +20,7 @@ from revca.constructions import (
     speedup,
 )
 from revca.core import MachineError, POSITIVE, Transition, Verdict, ZERO, all_words, make_automaton, run, status_of, validate
-from revca.formats import parse_automaton, serialize_automaton
-from revca.mcm import hartmanis_example
+from revca.formats import serialize_automaton
 from revca.reversibility import (
     ReverseStep,
     _stationary_scan,
@@ -35,9 +33,7 @@ from revca.reversibility import (
 from revca.valc import build_valc_part_slow
 from revca.witnesses import build_balance_factor, build_balanced, build_eq_ab, build_regular_witness
 
-from conftest import toy_burst_machine, toy_parity_dfa, toy_stationary_counter
-
-MACHINES = Path(__file__).resolve().parent.parent / "machines"
+from conftest import MACHINES, random_extended_machine, stock, toy_burst_machine, toy_parity_dfa
 
 
 def test_carry_table():
@@ -71,24 +67,8 @@ def test_carry_matches_the_case_split_wherever_callers_reach(c):
         assert _carry((m,), (s,), (b,), c) == tuple(((x,), (residue,), (carry,)) for x in stored), (m, b, s)
 
 
-def extended_demo():
-    return make_automaton(
-        [
-            ("q0", "<", "Z", "q1", 1, (0,)),
-            ("q1", "a", "Z", "q1", 1, (2,)),
-            ("q1", "a", "P", "q1", 1, (2,)),
-            ("q1", "b", "P", "q1", 1, (-2,)),
-            ("q1", ">", "Z", "qf", 0, (0,)),
-        ],
-        initial="q0",
-        accepting=["qf"],
-        k=1,
-        max_delta=2,
-    )
-
-
 def test_normalize_preserves_language_and_steps():
-    ext = extended_demo()
+    ext = stock("double_step.rca")
     norm = normalize_extended(ext)
     assert norm.max_delta == 1 and validate(norm) == []
     for word in all_words({"a", "b"}, 6):
@@ -98,7 +78,7 @@ def test_normalize_preserves_language_and_steps():
 
 
 def test_normalize_value_law():
-    ext = extended_demo()
+    ext = stock("double_step.rca")
     norm = normalize_extended(ext)
     c = ext.max_delta
     for word in all_words({"a", "b"}, 5):
@@ -113,7 +93,7 @@ def test_normalize_value_law():
 
 
 def test_normalize_reverse_construction():
-    ext = extended_demo()
+    ext = stock("double_step.rca")
     table = derive_reverse_any(ext).table
     norm, norm_table = normalize_extended(ext, reverse=table)
     for word in all_words({"a", "b"}, 5):
@@ -146,7 +126,7 @@ def _machine_kernel_keys(machine, norm):
 
 
 def test_normalize_runs_the_kernel_once_per_distinct_effect(monkeypatch):
-    slow = replace(build_valc_part_slow(hartmanis_example(), 1), max_delta=7)
+    slow = replace(build_valc_part_slow(stock("hartmanis.mcm"), 1), max_delta=7)
     calls = _counting_kernel(monkeypatch)
     norm = normalize_extended(slow)
     keys = _machine_kernel_keys(slow, norm)
@@ -155,7 +135,7 @@ def test_normalize_runs_the_kernel_once_per_distinct_effect(monkeypatch):
 
 
 def test_normalize_reverse_shares_the_kernel_memo(monkeypatch):
-    ext = extended_demo()
+    ext = stock("double_step.rca")
     table = derive_reverse_any(ext).table
     calls = _counting_kernel(monkeypatch)
     norm, _ = normalize_extended(ext, reverse=table)
@@ -168,32 +148,6 @@ def test_normalize_reverse_shares_the_kernel_memo(monkeypatch):
     keys = _machine_kernel_keys(ext, norm) | reverse_keys
     assert len(calls) == len(set(calls)) == len(keys)
     assert set(calls) == keys
-
-
-def random_extended_machine(rng: random.Random):
-    k = rng.choice((1, 1, 2))
-    c = rng.randint(1, 4)
-    n_states = rng.randint(2, 5)
-    states = [f"s{i}" for i in range(n_states)]
-    keys = set()
-    transitions = []
-    for _ in range(rng.randint(4, 12)):
-        state = rng.choice(states)
-        token = rng.choice(["a", "b", "<", ">"])
-        statuses = tuple(rng.choice("ZP") for _ in range(k))
-        if (state, token, statuses) in keys:
-            continue
-        keys.add((state, token, statuses))
-        move = 0 if token == ">" else rng.choice((0, 1, 1))
-        deltas = tuple(
-            rng.randint(0 if s == "Z" else -c, c) for s in statuses
-        )
-        transitions.append((state, token, statuses, rng.choice(states), move, deltas))
-    accepting = [s for s in states if rng.random() < 0.4]
-    return make_automaton(
-        transitions, initial="s0", accepting=accepting, k=k,
-        alphabet={"a", "b"}, max_delta=c,
-    )
 
 
 def random_reversible_machine(rng: random.Random, k: int, max_delta: int = 1):
@@ -289,7 +243,7 @@ def _normalize_reference(machine, reverse=None):
 
 def test_normalize_matches_full_product_reference():
     rng = random.Random(60221)
-    machines = [extended_demo()]
+    machines = [stock("double_step.rca")]
     while len(machines) < 201:
         m = random_extended_machine(rng)
         if not validate(m):
@@ -323,7 +277,7 @@ def test_speedup_returns_only_an_ordinary_machine_as_is():
     # where a stationary move is left; an ordinary source with no stationary
     # transition has bound 0, so it comes back as is whatever the promise
     with pytest.raises(NotQuasiRealtimeError):
-        speedup(parse_automaton((MACHINES / "double_step.rca").read_text()), 0)
+        speedup(stock("double_step.rca"), 0)
 
     def counting(step, *extra):
         rows = [("q0", "<", "Z", "q1", 1, (0,))] + [("q1", "a", s, "q1", 1, (step,)) for s in "ZP"]
@@ -342,7 +296,7 @@ def test_speedup_returns_only_an_ordinary_machine_as_is():
 
 
 def test_speedup_toy_stationary():
-    m = toy_stationary_counter()
+    m = stock("toy_stationary.rca")
     fast = speedup(m, 1)
     assert validate(fast) == []
     for word in all_words({"a"}, 8):
@@ -598,6 +552,14 @@ def test_speedup_and_normalize_refuse_a_machine_that_fails_validate():
         normalize_extended(m)
 
 
+def test_speedup_refuses_a_macro_step_outside_the_model(monkeypatch):
+    # every macro-step adds 2 to the counter, which no ordinary machine may
+    real = constructions._macro_step
+    monkeypatch.setattr(constructions, "_macro_step", lambda *args: (*real(*args)[:2], (2,)))
+    with pytest.raises(MachineError, match="^speedup built a macro-step outside the model"):
+        speedup(stock("toy_stationary.rca"), 1)
+
+
 @pytest.mark.parametrize(
     "rows, max_delta, ell",
     [
@@ -720,12 +682,12 @@ def test_product_refuses_factor_accepting_before_the_end():
 
 
 def test_shipped_and_built_machines_accept_only_at_the_end(valc_machines):
-    machines = [parse_automaton(path.read_text()) for path in sorted(MACHINES.glob("*.rca"))]
+    machines = [stock(path.name) for path in sorted(MACHINES.glob("*.rca"))]
     machines += [build_eq_ab(), build_regular_witness(), build_balanced(4), build_balance_factor("abc", "c")]
-    machines += [toy_burst_machine(), toy_parity_dfa(), toy_stationary_counter()]
+    machines += [toy_burst_machine(), toy_parity_dfa()]
     for _, v1, v2, _ in valc_machines.values():
         machines += [v1, v2]
-    assert len(machines) == 16
+    assert len(machines) == 15
     for m in machines:
         _check_accepts_at_end(m)
 
@@ -798,7 +760,7 @@ def _factor_pairs():
         "eq-ab-x-eq-ab": (build_eq_ab(), build_eq_ab()),
         "eq-ab-x-parity": (build_eq_ab(), toy_parity_dfa()),
         "parity-x-eq-ab": (toy_parity_dfa(), build_eq_ab()),
-        "stationary-x-stationary": (toy_stationary_counter(), toy_stationary_counter()),
+        "stationary-x-stationary": (stock("toy_stationary.rca"), stock("toy_stationary.rca")),
         "burst-x-burst": (toy_burst_machine(), toy_burst_machine()),
     }
     return [pytest.param(m1, m2, id=label) for label, (m1, m2) in pairs.items()]
@@ -823,12 +785,11 @@ def test_product_move_disagreement_on_stationary_factor():
 def test_constructed_machines_share_their_state_objects(valc_machines):
     # every transition, the initial state and the accepting states hold the
     # very object in ``states``, so table probes compare states by identity
-    double_step = parse_automaton((MACHINES / "double_step.rca").read_text())
     _, v1, v2, both = valc_machines["hartmanis"]
     for m in (
-        normalize_extended(double_step),
-        build_valc_part_slow(hartmanis_example(), 1),
-        speedup(toy_stationary_counter(), 1),
+        normalize_extended(stock("double_step.rca")),
+        build_valc_part_slow(stock("hartmanis.mcm"), 1),
+        speedup(stock("toy_stationary.rca"), 1),
         v1,
         v2,
         both,
@@ -897,6 +858,28 @@ def test_product_accepts_when_factors_halt_on_the_right_endmarker_out_of_step():
         assert run(both, word, 50).accepted, word
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the product halts at '<' when one factor halts there")
+def test_product_decides_like_its_factors_when_one_halts_accepting_on_the_left_endmarker():
+    # ``every`` halts accepting at '<', so it accepts every word; the product
+    # halts there too, with the verdict of the other factor's initial state
+    every = make_automaton([("s0", "a", "", "s0", 0, "")], initial="s0", accepting=["s0"], k=0, alphabet={"a"})
+    no_a = make_automaton(
+        [("s0", "<", "", "s0", 1, ""), ("s0", "a", "", "s1", 0, "")],
+        initial="s0", accepting=["s0"], k=0, alphabet={"a"},
+    )
+    empty = make_automaton(
+        [("s0", "<", "", "s0", 1, ""), ("s0", ">", "", "s1", 0, "")],
+        initial="s0", accepting=["s1"], k=0, alphabet={"a"},
+    )
+    for other, word in ((no_a, "a"), (empty, "")):
+        try:
+            both = product_intersection(every, other)
+        except EarlyAcceptanceError:
+            continue  # refusing the factor mends the defect too
+        expected = run(every, word, 50).accepted and run(other, word, 50).accepted
+        assert run(both, word, 50).accepted == expected, word
+
+
 @pytest.mark.xfail(
     strict=True, raises=AssertionError, reason="normalize_extended accepts where run diagnoses an underflow"
 )
@@ -930,7 +913,7 @@ def test_speedup_drops_an_over_long_stationary_run_that_halts_rejecting():
 def test_speedup_at_zero_keeps_its_promise_or_refuses():
     # either outcome mends the defect, so the test takes no side on whether
     # a stationary step into a halt counts against ell
-    m = parse_automaton((MACHINES / "toy_stationary.rca").read_text())
+    m = stock("toy_stationary.rca")
     try:
         out = speedup(m, 0)
     except NotQuasiRealtimeError:

@@ -5,13 +5,13 @@ from revca.mcm import (
     McmConfig,
     McmError,
     McmStatus,
-    doubling_example,
     encode_string,
-    hartmanis_example,
     make_mcm,
     mcm_run,
     mcm_step,
 )
+
+from conftest import stock
 
 GOLDEN_TRACE = [
     ("q0", 16),
@@ -24,21 +24,21 @@ GOLDEN_TRACE = [
 
 
 def test_step_multiplies_on_integer():
-    m = hartmanis_example()
+    m = stock("hartmanis.mcm")
     assert mcm_step(m, McmConfig("q0", 16)) == McmConfig("q1", 32)
 
 
 def test_step_branches_on_fraction():
-    m = hartmanis_example()
+    m = stock("hartmanis.mcm")
     assert mcm_step(m, McmConfig("q2", 16)) == McmConfig("q3", 16)
 
 
 def test_step_halts_in_final():
-    assert mcm_step(hartmanis_example(), McmConfig("qf", 8)) is None
+    assert mcm_step(stock("hartmanis.mcm"), McmConfig("qf", 8)) is None
 
 
 def test_golden_trace():
-    out = mcm_run(hartmanis_example(), 4)
+    out = mcm_run(stock("hartmanis.mcm"), 4)
     assert out.status is McmStatus.HALTED_FINAL
     assert [(c.state, c.n) for c in out.trace] == GOLDEN_TRACE
 
@@ -59,7 +59,7 @@ def test_fuel_exhaustion_trace_length():
 
 
 def test_stuck_state_reported():
-    m = hartmanis_example()
+    m = stock("hartmanis.mcm")
     out = mcm_run(m, 0)
     assert out.status is McmStatus.HALTED_STUCK
     assert out.final.state == "qs"
@@ -95,15 +95,15 @@ def test_rule_validation():
 
 
 def test_register_stays_positive():
-    m = doubling_example()
+    m = stock("double.mcm")
     for i in range(6):
         out = mcm_run(m, i)
         assert all(c.n >= 1 for c in out.trace)
 
 
-@pytest.mark.parametrize("make, i", [(doubling_example, 0), (hartmanis_example, 4)])
-def test_fuel_boundary(make, i):
-    m = make()
+@pytest.mark.parametrize("name, i", [("double.mcm", 0), ("hartmanis.mcm", 4)])
+def test_fuel_boundary(name, i):
+    m = stock(name)
     steps = len(mcm_run(m, i).trace) - 1
     exact = mcm_run(m, i, fuel=steps)
     assert exact.status is McmStatus.HALTED_FINAL

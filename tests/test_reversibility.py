@@ -1,7 +1,6 @@
 import random
 from itertools import product
 from operator import add
-from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -40,11 +39,9 @@ from revca.reversibility import (
     step_back,
     verify_roundtrip,
 )
-from revca.formats import parse_automaton
 from revca.witnesses import build_balanced, build_eq_ab, build_regular_witness
 
-from conftest import toy_stationary_counter
-from test_constructions import random_extended_machine
+from conftest import random_extended_machine, stock
 
 # The hand-checked backward table for the balance checker: exactly twelve
 # entries.  A key (q1, >, Z) would have no forward pre-image under
@@ -198,7 +195,7 @@ def test_quasi_realtime_static_cycle_advisory():
 
 
 def test_toy_stationary_machine_roundtrip():
-    m = toy_stationary_counter()
+    m = stock("toy_stationary.rca")
     verdict = derive_reverse(m)
     assert verdict.reversible
     assert verify_roundtrip(m, verdict.table, 6) is None
@@ -871,12 +868,11 @@ def test_stationary_cycle_advisories_are_pinned():
 # Verdicts that a spent fuel cuts short (ROADMAP item 15), each stated as the
 # property it breaks on the shipped stationary demo.  A fix turns its test
 # into an unexpected pass, which fails until the mark is removed.
-TOY_STATIONARY = Path(__file__).resolve().parent.parent / "machines" / "toy_stationary.rca"
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="a roundtrip sweep cut by its fuel reads as a pass")
 def test_verify_roundtrip_does_not_pass_a_sweep_its_fuel_cut():
-    m = parse_automaton(TOY_STATIONARY.read_text())
+    m = stock("toy_stationary.rca")
     entries = dict(derive_reverse(m).table.entries)
     del entries["qacc", ">", (ZERO,)]
     bad = ReverseTable(entries)
@@ -887,7 +883,7 @@ def test_verify_roundtrip_does_not_pass_a_sweep_its_fuel_cut():
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="check_quasi_realtime passes runs its fuel cut")
 def test_check_quasi_realtime_does_not_pass_runs_its_fuel_cut():
-    m = parse_automaton(TOY_STATIONARY.read_text())
+    m = stock("toy_stationary.rca")
     assert not check_quasi_realtime(m, 0, 3, fuel=2).ok
     # every run's second step is stationary, and a fuel of one cuts it
     assert not check_quasi_realtime(m, 0, 3, fuel=1).ok

@@ -7,7 +7,7 @@ from revca import valc
 from revca.core import MachineError, run, validate
 from revca.formats import serialize_automaton
 from revca.reversibility import derive_reverse, roundtrip_word
-from revca.mcm import McmStatus, doubling_example, hartmanis_example, make_mcm, mcm_run
+from revca.mcm import McmStatus, make_mcm, mcm_run
 from revca.valc import (
     LETTER,
     PREFIX,
@@ -18,6 +18,8 @@ from revca.valc import (
     valc_decide,
     valc_encode,
 )
+
+from conftest import stock
 
 GOLDEN = (
     "[q0'] a' [q0'] "
@@ -60,7 +62,7 @@ def test_token_spellings():
 
 
 def test_golden_string_token_for_token():
-    word = valc_encode(hartmanis_example(), 4)
+    word = valc_encode(stock("hartmanis.mcm"), 4)
     assert list(word.surface()) == GOLDEN
     # the annotations called out in the worked example
     tokens = word.surface()
@@ -73,32 +75,32 @@ def test_golden_string_token_for_token():
 
 
 def test_encode_single_rule_machine_i0():
-    word = valc_encode(doubling_example(), 0)
+    word = valc_encode(stock("double.mcm"), 0)
     assert list(word.surface()) == [
         "[q0|l=2]", "a'", "[q0|l=2|p=0]", "[qf|l=2]", "a", "a", "[qf|l=2]",
     ]
 
 
 def test_encode_parity_padding_i1():
-    word = valc_encode(doubling_example(), 1).surface()
+    word = valc_encode(stock("double.mcm"), 1).surface()
     assert list(word[:3]) == ["[q0']", "a'", "[q0']"]
     assert "[qf'|l=2]" in word  # padded duplicate keeps the step multiplier
     assert word[-1] == "[qf|l=1]"  # and the repeated final block carries 1
-    assert valc_decide(doubling_example(), word)
+    assert valc_decide(stock("double.mcm"), word)
 
 
 def test_encode_refuses_rejecting_runs():
     with pytest.raises(NotAcceptingError):
-        valc_encode(hartmanis_example(), 0)
+        valc_encode(stock("hartmanis.mcm"), 0)
 
 
 def test_slow_part_refuses_a_third_part():
     with pytest.raises(ValueError, match="^part must be 1 or 2$"):
-        build_valc_part_slow(hartmanis_example(), 3)
+        build_valc_part_slow(stock("hartmanis.mcm"), 3)
 
 
 def test_reference_decider_rejects_shape_breaks():
-    m = hartmanis_example()
+    m = stock("hartmanis.mcm")
     assert valc_decide(m, GOLDEN)
     assert not valc_decide(m, [])
     assert not valc_decide(m, GOLDEN[:-1])
@@ -119,7 +121,7 @@ def _block(state, ell, run, phi=None):
 
 FPRIME = "qf'"  # the parity padding's copy of the final state
 # the double golden history from 2**1: q0 at 2, then the parity padding
-DOUBLE_1 = str(valc_encode(doubling_example(), 1))
+DOUBLE_1 = str(valc_encode(stock("double.mcm"), 1))
 # GOLDEN up to its q3 block, and its q4 block
 GOLDEN_TO_Q3 = " ".join(GOLDEN[: GOLDEN.index("[q4|l=1/2]")])
 GOLDEN_Q4 = _block("q4", "1/2", 8, 3)
@@ -176,7 +178,7 @@ def test_reference_decider_and_product_reject_each_near_miss(valc_machines, rule
 def test_reference_decider_rejects_bad_numbers(bad, pos):
     word = list(GOLDEN)
     word[pos] = bad
-    assert not valc_decide(hartmanis_example(), word)
+    assert not valc_decide(stock("hartmanis.mcm"), word)
 
 
 def _unreachable(*args):
@@ -186,7 +188,7 @@ def _unreachable(*args):
 def test_decider_refuses_a_prefix_longer_than_the_word_without_running(monkeypatch):
     # 20 doubling blocks put 2**20 letters in the first configuration block
     monkeypatch.setattr(valc, "_annotate", _unreachable)
-    assert not valc_decide(hartmanis_example(), [PREFIX] * 40)
+    assert not valc_decide(stock("hartmanis.mcm"), [PREFIX] * 40)
 
 
 def test_decider_refuses_a_long_encoding_before_writing_it(monkeypatch):
@@ -211,7 +213,7 @@ def test_decider_refuses_a_long_encoding_before_writing_it(monkeypatch):
 
 def test_decider_raises_the_encoders_state_name_collision():
     m = make_mcm([("q0", 2, "qf", "qf")], states={"q0", "qf", "qf'"})
-    word = valc_encode(doubling_example(), 0).surface()
+    word = valc_encode(stock("double.mcm"), 0).surface()
     with pytest.raises(MachineError, match="collides with the parity padding"):
         valc_encode(m, 0)
     with pytest.raises(MachineError, match="collides with the parity padding"):
@@ -227,16 +229,16 @@ def test_encoded_histories_are_pinned():
     import hashlib
 
     digest = hashlib.sha256()
-    for machine, exponents in ((hartmanis_example(), range(1, 10)), (doubling_example(), range(10))):
+    for machine, exponents in ((stock("hartmanis.mcm"), range(1, 10)), (stock("double.mcm"), range(10))):
         for i in exponents:
             digest.update((str(valc_encode(machine, i)) + "\n").encode())
     assert digest.hexdigest() == HISTORIES_SHA256
 
 
 def test_part_machines_validate_and_reverse():
-    for mk in (hartmanis_example, doubling_example):
+    for name in ("hartmanis.mcm", "double.mcm"):
         for part in (1, 2):
-            slow = build_valc_part_slow(mk(), part)
+            slow = build_valc_part_slow(stock(name), part)
             assert validate(slow) == []
             assert derive_reverse(slow).reversible
 
@@ -412,7 +414,7 @@ SLOW_PART_SHA256 = {
 def test_slow_part_serialization_is_pinned(part):
     import hashlib
 
-    for machine in (hartmanis_example(), doubling_example()):
+    for machine in (stock("hartmanis.mcm"), stock("double.mcm")):
         slow = build_valc_part_slow(machine, part)
         digest = hashlib.sha256(serialize_automaton(slow).encode()).hexdigest()
         assert digest == SLOW_PART_SHA256[machine.name, part], machine.name
@@ -432,7 +434,7 @@ def test_slow_part_stationary_bounds():
 
     bounds = {
         (machine.name, part): _stationary_scan(build_valc_part_slow(machine, part))[1]
-        for machine in (hartmanis_example(), doubling_example())
+        for machine in (stock("hartmanis.mcm"), stock("double.mcm"))
         for part in (1, 2)
     }
     assert bounds == {("hartmanis", 1): 4, ("hartmanis", 2): 4, ("double", 1): 1, ("double", 2): 1}
@@ -441,7 +443,7 @@ def test_slow_part_stationary_bounds():
 
 @pytest.mark.parametrize("part", [1, 2])
 def test_slow_part_states_hold_no_fraction(part):
-    for machine in (hartmanis_example(), doubling_example()):
+    for machine in (stock("hartmanis.mcm"), stock("double.mcm")):
         slow = build_valc_part_slow(machine, part)
         assert not any(
             isinstance(x, Fraction) for state in slow.states for x in _parts(state)
