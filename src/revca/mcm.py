@@ -55,8 +55,13 @@ class MultCounterMachine:
     name: str = field(default="", compare=False)
 
     @cached_property
-    def rule_map(self) -> dict[str, McmRule]:
-        return {r.state: r for r in self.rules}
+    def step_index(self) -> dict[str, tuple[int, int, str, str]]:
+        """Each rule by state in integer form: its multiplicand's numerator
+        and denominator in lowest terms, then on_integer and on_fraction."""
+        return {
+            r.state: (r.mult.numerator, r.mult.denominator, r.on_integer, r.on_fraction)
+            for r in self.rules
+        }
 
     def defects_by_rule(self):
         """The machine's defects, in order, each with the rule it belongs to,
@@ -112,14 +117,19 @@ def make_mcm(rules, initial="q0", final="qf", states=None, name="") -> MultCount
 def mcm_step(machine: MultCounterMachine, cfg: McmConfig) -> Optional[McmConfig]:
     """Apply the rule for the current state: multiply when the product is an
     integer, otherwise keep the register and take the fraction branch.  None
-    when no rule exists (always the case in the final state)."""
-    rule = machine.rule_map.get(cfg.state)
-    if rule is None:
+    when no rule exists (always the case in the final state).
+
+    The multiplicand p/d is in lowest terms, so n * p / d is an integer
+    exactly when d divides n * p, and then it is the quotient."""
+    state, n = cfg
+    step = machine.step_index.get(state)
+    if step is None:
         return None
-    product = rule.mult * cfg.n
-    if product.denominator == 1:
-        return McmConfig(rule.on_integer, int(product))
-    return McmConfig(rule.on_fraction, cfg.n)
+    p, d, on_integer, on_fraction = step
+    product, rest = divmod(n * p, d)
+    if rest:
+        return tuple.__new__(McmConfig, (on_fraction, n))
+    return tuple.__new__(McmConfig, (on_integer, product))
 
 
 def mcm_run(machine: MultCounterMachine, i: int, fuel: int = 1_000) -> McmRun:

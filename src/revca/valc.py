@@ -74,22 +74,21 @@ def _annotate(machine: MultCounterMachine, i: int, fuel: int):
     if fprime in machine.states:
         raise MachineError(f"state name {fprime!r} collides with the parity padding")
     configs = [(c.state, c.n) for c in outcome.trace]
-    rule_map = machine.rule_map
+    index = machine.step_index
 
-    # multiplier annotation of each block: 2 for the first, then the rule
-    # multiplier when the previous step multiplied, 1 for fraction branches
-    ells = [Fraction(2)]
-    for j in range(1, len(configs)):
-        state, n = configs[j - 1]
-        rule = rule_map[state]
-        multiplied = (rule.mult * n).denominator == 1
-        ells.append(rule.mult if multiplied else Fraction(1))
+    # multiplier annotation of each block, as the text of its l= field: 2 for
+    # the first, then the rule multiplier when the previous step multiplied,
+    # 1 for fraction branches
+    ells = ["2"]
+    for state, n in configs[:-1]:
+        p, d, _, _ = index[state]
+        ells.append("1" if n * p % d else _ell_text(p, d))
 
     if (i + len(configs)) % 2:
         final_state, final_n = configs[-1]
         configs[-1] = (fprime, final_n)
         configs.append((final_state, final_n))
-        ells.append(Fraction(1))
+        ells.append("1")
 
     phis = [n % (_divisor(machine, state) or 1) for state, n in configs[:-1]]
     phis.append(None)  # the final block repeats its lead token instead
@@ -100,7 +99,9 @@ def _history(i: int, configs, ells, phis) -> tuple[str, ...]:
     """The surface tokens of an annotated run from 2**i."""
     tokens = []
     for p in range(i):
-        tokens += [PREFIX, *([LETTER] * 2**p if p else [MARKED]), PREFIX]
+        tokens.append(PREFIX)
+        tokens += [LETTER] * 2**p if p else [MARKED]
+        tokens.append(PREFIX)
     for j, ((state, n), ell, phi) in enumerate(zip(configs, ells, phis)):
         lead = lead_token(state, ell)
         tokens.append(lead)
@@ -154,11 +155,18 @@ def _lead_ells(machine: MultCounterMachine) -> dict[str, list[str]]:
     return {s: [str(ell) for ell in sorted(v)] for s, v in table.items()}
 
 
+def _ell_text(p: int, d: int) -> str:
+    """The ``l=`` text of the multiplier p/d in lowest terms, as ``str`` of
+    its Fraction spells it."""
+    return f"{p}/{d}" if d != 1 else str(p)
+
+
 def _divisor(machine: MultCounterMachine, state: str) -> Optional[int]:
     """Divisor of the rule in ``state`` when its multiplicand divides, else
-    None; a block closing in ``state`` carries its register modulo it."""
-    rule = machine.rule_map.get(state)
-    return int(1 / rule.mult) if rule is not None and rule.mult < 1 else None
+    None; a block closing in ``state`` carries its register modulo it.  That
+    is int(1 / mult) for a multiplicand p/d below 1, so d // p."""
+    step = machine.step_index.get(state)
+    return step[1] // step[0] if step is not None and step[0] < step[1] else None
 
 
 def valc_alphabet(machine: MultCounterMachine) -> list[str]:
@@ -214,7 +222,7 @@ def build_valc_part_slow(machine: MultCounterMachine, part: int) -> CounterAutom
     final = machine.final
     q0 = machine.initial
     ells = _lead_ells(machine)
-    rule_map = machine.rule_map
+    index = machine.step_index
     mods = {s: _divisor(machine, s) for s in ells}  # looked up once, not per row
     factor = cache(_factor)
     expA, expB_pfx = ("expA",), ("expB_pfx",)
@@ -277,15 +285,13 @@ def build_valc_part_slow(machine: MultCounterMachine, part: int) -> CounterAutom
             _, s, ell, j = state
             rows = either(LETTER, counted(s, ell, j), 1)
             # closing token: residue field must match the modular count
-            rule = rule_map.get(s)
             if s == fprime:
                 dest = ("expBdup",)
-            elif rule is None:
+            elif s not in index:
                 return rows  # no successor exists: reject at the closing token
-            elif j:
-                dest = ("expB", rule.on_fraction, "1")
             else:
-                dest = ("expB", rule.on_integer, str(rule.mult))
+                p, d, on_integer, on_fraction = index[s]
+                dest = ("expB", on_fraction, "1") if j else ("expB", on_integer, _ell_text(p, d))
             return rows + either(trail_token(s, ell, j or 0), dest)
         # block-opening expectations: lead tokens acceptable for a successor
         if kind == "expBdup":

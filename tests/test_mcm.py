@@ -1,7 +1,11 @@
 import pytest
 from fractions import Fraction
 
+from hypothesis import given, strategies as st
+
+from revca import valc
 from revca.mcm import (
+    MULTIPLICANDS,
     McmConfig,
     McmError,
     McmStatus,
@@ -111,3 +115,82 @@ def test_fuel_boundary(name, i):
     short = mcm_run(m, i, fuel=steps - 1)
     assert short.status is McmStatus.FUEL_EXHAUSTED
     assert len(short.trace) == steps
+
+
+# mcm_step multiplies on each multiplicand's integer numerator and
+# denominator; these tests hold it against stepping with Fractions
+
+
+def fraction_step(machine, cfg):
+    """One step by Fraction arithmetic: the reference for ``mcm_step``."""
+    rule = next((r for r in machine.rules if r.state == cfg.state), None)
+    if rule is None:
+        return None
+    product = rule.mult * cfg.n
+    if product.denominator == 1:
+        return McmConfig(rule.on_integer, int(product))
+    return McmConfig(rule.on_fraction, cfg.n)
+
+
+def fraction_run(machine, i, fuel):
+    """The trace and status of ``mcm_run`` by ``fraction_step``."""
+    cfg = McmConfig(machine.initial, 2**i)
+    trace = [cfg]
+    while (nxt := fraction_step(machine, cfg)) is not None and len(trace) <= fuel:
+        cfg = nxt
+        trace.append(cfg)
+    if nxt is not None:
+        return trace, McmStatus.FUEL_EXHAUSTED
+    return trace, McmStatus.HALTED_FINAL if cfg.state == machine.final else McmStatus.HALTED_STUCK
+
+
+# registers far past a machine word, each a multiple of some stock
+# denominators, and their near neighbours
+LARGE = [
+    base + offset
+    for base in (2**200 * 3**50, 2**200 * 3**50 * 5**20 * 7**20)
+    for offset in range(-3, 4)
+]
+
+
+@pytest.mark.parametrize("mult", MULTIPLICANDS, ids=str)
+def test_integer_step_matches_fraction_reference(mult):
+    m = make_mcm([("q0", mult, "q1", "q2")])
+    for n in [*range(1, 301), *LARGE]:
+        cfg = McmConfig("q0", n)
+        got = mcm_step(m, cfg)
+        assert got == fraction_step(m, cfg), n
+        assert type(got) is McmConfig
+
+
+@st.composite
+def stock_machines(draw):
+    """Machines on q0..q3 whose multiplicands are drawn from the stock; a
+    state left without a rule is stuck."""
+    targets = st.sampled_from(["q1", "q2", "q3", "qf"])
+    rules = [
+        (state, draw(st.sampled_from(MULTIPLICANDS)), draw(targets), draw(targets))
+        for state in ("q0", "q1", "q2", "q3")
+        if state == "q0" or draw(st.booleans())
+    ]
+    return make_mcm(rules)
+
+
+@given(stock_machines(), st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=60))
+def test_run_matches_fraction_reference(machine, i, fuel):
+    out = mcm_run(machine, i, fuel)
+    assert (out.trace, out.status) == fraction_run(machine, i, fuel)
+
+
+@pytest.mark.parametrize("mult", MULTIPLICANDS, ids=str)
+def test_divisor_and_ell_text_match_the_fractions(mult):
+    # the register reaches 2**i * 105 in q3, so every stock multiplicand
+    # multiplies it there, but for 1/2 when i == 0
+    m = make_mcm([("q0", 3, "q1", "qf"), ("q1", 5, "q2", "qf"), ("q2", 7, "q3", "qf"), ("q3", mult, "qf", "qf")])
+    assert valc._divisor(m, "q3") == (int(1 / mult) if mult < 1 else None)
+    assert [valc._divisor(m, s) for s in ("q0", "q1", "q2", "qf")] == [None] * 4
+    for i in (0, 1):
+        configs, ells, _ = valc._annotate(m, i, 10)
+        multiplied = (mult * configs[3][1]).denominator == 1
+        assert ells[:5] == ["2", "3", "5", "7", str(mult) if multiplied else "1"]
+        assert multiplied == (mult != Fraction(1, 2) or i == 1)
