@@ -103,16 +103,17 @@ def normalize_extended(
     defects = validate(machine)
     if defects:
         raise MachineError("normalize_extended needs a clean machine: " + "; ".join(defects))
-    out, kernel = _normalized(machine)
+    out, kernel = _normalized(machine, machine.max_delta)
     if reverse is None:
         return out
     return out, _normalize_reverse(reverse, machine.max_delta, machine.k, kernel)
 
 
-def _normalized(machine: CounterAutomaton):
-    """``normalize_extended``'s machine, for a source already known to be
-    clean, with the kernel memo it filled."""
-    c, k = machine.max_delta, machine.k
+def _normalized(machine: CounterAutomaton, c: int):
+    """``normalize_extended``'s machine at residue modulus ``c``, at least
+    the source's ``max_delta``, for a source already known to be clean, with
+    the kernel memo it filled."""
+    k = machine.k
     kernel = cache(partial(_carry, c=c))  # (residues, statuses, deltas) -> _carry rows
 
     def rows(source):
@@ -122,8 +123,7 @@ def _normalized(machine: CounterAutomaton):
                 yield t.token, statuses, (t.target, new_res), t.move, carries
 
     out = _reachable_machine(
-        (machine.initial, (0,) * k), rows, lambda st: st[0] in machine.accepting, machine.alphabet, k,
-        name=f"norm({machine.name})" if machine.name else "",
+        (machine.initial, (0,) * k), rows, lambda st: st[0] in machine.accepting, machine.alphabet, k
     )
     return out, kernel
 
@@ -200,10 +200,7 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
     ell = ell if bound is None else min(ell, bound)
     if ell == 0 and machine.max_delta == 1:
         return machine
-    c = (ell + 1) * machine.max_delta
-    # the normalization takes its residue modulus c from max_delta; a machine
-    # clean at max_delta D <= c is clean at c, so it is not validated again
-    norm, _ = _normalized(replace(machine, max_delta=c))
+    norm, _ = _normalized(machine, (ell + 1) * machine.max_delta)
     norm = remove_initial_left_loops(norm)
     # a replay reads keys only at a stationary seed and at the targets of
     # stationary steps, so it steps on an index of those states' rows alone
@@ -218,10 +215,7 @@ def speedup(machine: CounterAutomaton, ell: int) -> CounterAutomaton:
             else:
                 yield t.token, t.statuses, *_macro_step(replayed, state, t.token, t.statuses, ell)
 
-    out = _reachable_machine(
-        norm.initial, rows, norm.accepting.__contains__, norm.alphabet, norm.k,
-        name=f"rt({machine.name})" if machine.name else "",
-    )
+    out = _reachable_machine(norm.initial, rows, norm.accepting.__contains__, norm.alphabet, norm.k)
     defects = validate(out)
     if defects:
         raise MachineError("speedup built a macro-step outside the model: " + "; ".join(defects))
@@ -290,7 +284,6 @@ def product_intersection(m1: CounterAutomaton, m2: CounterAutomaton) -> CounterA
     return _reachable_machine(
         (m1.initial, m2.initial), rows, lambda p: p[0] in m1.accepting and p[1] in m2.accepting,
         m1.alphabet, m1.k + m2.k, max(m1.max_delta, m2.max_delta),
-        f"({m1.name}&{m2.name})" if m1.name or m2.name else "",
     )
 
 

@@ -278,7 +278,6 @@ class CounterAutomaton:
     initial: State
     accepting: frozenset
     max_delta: int = 1
-    name: str = ""
 
     @cached_property
     def table(self) -> dict[tuple[State, Token, StatusVector], Transition]:
@@ -370,7 +369,6 @@ def make_automaton(
     alphabet: Iterable[str] | None = None,
     states: Iterable[State] | None = None,
     max_delta: int = 1,
-    name: str = "",
 ) -> CounterAutomaton:
     """Build an automaton from transition 6-tuples, inferring what is omitted.
 
@@ -405,11 +403,10 @@ def make_automaton(
         initial=initial,
         accepting=frozenset(accepting),
         max_delta=max_delta,
-        name=name,
     )
 
 
-def _reachable_machine(initial, rows, accepting, alphabet, k, max_delta=1, name="") -> CounterAutomaton:
+def _reachable_machine(initial, rows, accepting, alphabet, k, max_delta=1) -> CounterAutomaton:
     """Build the machine of every state reachable from ``initial``.
 
     ``rows(state)`` yields the (token, statuses, target, move, deltas) rows
@@ -436,7 +433,6 @@ def _reachable_machine(initial, rows, accepting, alphabet, k, max_delta=1, name=
         initial=initial,
         accepting=frozenset(filter(accepting, seen)),
         max_delta=max_delta,
-        name=name,
     )
 
 
@@ -470,6 +466,8 @@ def defects_by_transition(machine: CounterAutomaton):
             yield None, "empty token in alphabet"
         elif any(ch.isspace() for ch in token):
             yield None, f"token {token!r} contains whitespace"
+        elif "#" in token:
+            yield None, f"token {token!r} contains '#'"
         if token in ENDMARKERS:
             yield None, f"reserved endmarker {token!r} declared in alphabet"
     if machine.initial not in machine.states:

@@ -179,8 +179,10 @@ def delta_text(deltas: tuple[int, ...]) -> str:
 def serialize_automaton(machine: CounterAutomaton) -> str:
     """Canonical text: states sorted, transitions sorted by key, the left
     endmarker before the alphabet and the right one after it.  States that
-    are not all strings are written under ``rename_states``' names."""
-    if not all(isinstance(st, str) for st in machine.states):
+    are not all non-empty strings free of whitespace and ``#``, which the
+    parser reads back as written, are written under ``rename_states``'
+    names."""
+    if not all(isinstance(st, str) and st.split() == [st] and "#" not in st for st in machine.states):
         machine = rename_states(machine)
     lines = [
         "revca-format 1",

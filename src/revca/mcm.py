@@ -5,7 +5,7 @@ whether the product stays integral."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -52,7 +52,6 @@ class MultCounterMachine:
     rules: tuple[McmRule, ...]
     initial: str = "q0"
     final: str = "qf"
-    name: str = field(default="", compare=False)
 
     @cached_property
     def step_index(self) -> dict[str, tuple[int, int, str, str]]:
@@ -98,7 +97,7 @@ class McmRun:
         return self.trace[-1]
 
 
-def make_mcm(rules, initial="q0", final="qf", states=None, name="") -> MultCounterMachine:
+def make_mcm(rules, initial="q0", final="qf", states=None) -> MultCounterMachine:
     rs = tuple(
         sorted(McmRule(q, Fraction(mult), p, r) for (q, mult, p, r) in rules)
     )
@@ -106,7 +105,7 @@ def make_mcm(rules, initial="q0", final="qf", states=None, name="") -> MultCount
         states = {initial, final}
         for r in rs:
             states |= {r.state, r.on_integer, r.on_fraction}
-    machine = MultCounterMachine(frozenset(states), rs, initial, final, name)
+    machine = MultCounterMachine(frozenset(states), rs, initial, final)
     defects = list(machine.defects_by_rule())
     if defects:
         rule = next((r for r, _ in defects if r is not None), None)

@@ -343,10 +343,7 @@ def build_valc_part_slow(machine: MultCounterMachine, part: int) -> CounterAutom
         for token, status, target, move, delta in rules(state):
             yield token, (status,), target, move, (delta,)
 
-    return _reachable_machine(
-        ("start",), rows, set(ends.values()).__contains__, valc_alphabet(machine), 1,
-        name=f"valc{part}({machine.name})",
-    )
+    return _reachable_machine(("start",), rows, set(ends.values()).__contains__, valc_alphabet(machine), 1)
 
 
 def build_valc1(machine: MultCounterMachine) -> CounterAutomaton:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import replace
 from functools import reduce
 
 from .core import CounterAutomaton, MachineError, POSITIVE, ZERO, make_automaton
@@ -167,7 +166,6 @@ def build_regular_witness() -> CounterAutomaton:
         accepting=accepting,
         k=0,
         alphabet={"a", "b"},
-        name="regular-witness",
     )
 
 
@@ -214,7 +212,6 @@ def build_balance_factor(alphabet: str, other: str) -> CounterAutomaton:
         accepting=["qf"],
         k=1,
         alphabet=set(alphabet),
-        name=f"eq-{first}{other}",
     )
 
 
@@ -226,4 +223,4 @@ def build_balanced(k: int) -> CounterAutomaton:
         raise ValueError(f"k must be in 2..{len(LETTERS)}, not {k}")
     alphabet = LETTERS[:k]
     factors = [build_balance_factor(alphabet, alphabet[i]) for i in range(1, k)]
-    return replace(reduce(product_intersection, factors), name=f"balanced-{k}")
+    return reduce(product_intersection, factors)

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,10 +13,10 @@ MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
 def stock(name):
     """The shipped machine ``machines/<name>``, read through the CLI's loader
-    for its suffix and named after its file.  Each call parses afresh, so no
-    test sees the index or table that another test's copy cached."""
+    for its suffix.  Each call parses afresh, so no test sees the index or
+    table that another test's copy cached."""
     load = cli._load_mcm if name.endswith(".mcm") else cli._load_automaton
-    return replace(load(str(MACHINES / name)), name=Path(name).stem)
+    return load(str(MACHINES / name))
 
 
 def random_extended_machine(rng: random.Random):
@@ -62,7 +61,6 @@ def toy_burst_machine():
         initial="q0",
         accepting=["qacc"],
         k=1,
-        name="toy-burst",
     )
 
 
@@ -80,7 +78,6 @@ def toy_parity_dfa():
         initial="q0",
         accepting=["acc"],
         k=0,
-        name="toy-parity",
     )
 
 
@@ -92,5 +89,5 @@ def valc_machines():
         machine = stock(name)
         v1 = build_valc1(machine)
         v2 = build_valc2(machine)
-        out[machine.name] = (machine, v1, v2, product_intersection(v1, v2))
+        out[Path(name).stem] = (machine, v1, v2, product_intersection(v1, v2))
     return out

@@ -92,15 +92,15 @@ def test_criterion_02_example_language_real_time():
 
 def test_criterion_03_roundtrips(valc_machines):
     with _Timer(3, "reversibility round-trips for every built-in machine"):
-        for machine, max_len in [
+        for i, (machine, max_len) in enumerate([
             (build_eq_ab(), 6),
             (build_balanced(2), 6),
             (build_balanced(3), 6),
             (build_balanced(4), 6),
-        ]:
+        ]):
             verdict = derive_reverse(machine)
-            assert verdict.reversible, machine.name
-            assert verify_roundtrip(machine, verdict.table, max_len) is None, machine.name
+            assert verdict.reversible, i
+            assert verify_roundtrip(machine, verdict.table, max_len) is None, i
         rng = random.Random(31337)
         for machine, v1, v2, prod in valc_machines.values():
             golden = valc_encode(machine, 4).surface()
@@ -111,9 +111,9 @@ def test_criterion_03_roundtrips(valc_machines):
                 if w is not None:
                     words.append(w)
                     added += 1
-            for target in (v1, v2, prod):
+            for i, target in enumerate((v1, v2, prod)):
                 verdict = derive_reverse(target)
-                assert verdict.reversible, target.name
+                assert verdict.reversible, i
                 for w in words:
                     assert roundtrip_word(target, verdict.table, w, fuel=5000) is None
 

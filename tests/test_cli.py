@@ -69,8 +69,7 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(FormatError) as err:
         parse_automaton(broken)
     assert "length 1" in str(err.value)
-    line = int(str(err.value).split(":")[0].split()[1])
-    assert line > 0
+    assert err.value.line_no == 7  # the line of "t q0 < Z -> q1 1 0"
 
 
 def test_cli_run_accept(capsys):
@@ -138,6 +137,17 @@ def test_cli_check_roundtrip(capsys):
     rc = main(["check", str(MACHINES / "eq_ab.rca"), "--mode", "roundtrip", "--max-len", "4"])
     assert rc == 0
     assert "roundtrip OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("word, shown", [(("b", "b", "a"), "b b a"), ((), "the empty word")])
+def test_cli_check_roundtrip_failure_exit_1(word, shown, capsys, monkeypatch):
+    from revca import reversibility
+
+    bad = reversibility.RoundtripCounterexample(word, None, None, None)
+    monkeypatch.setattr(reversibility, "verify_roundtrip", lambda *args: bad)
+    rc = main(["check", str(MACHINES / "eq_ab.rca"), "--mode", "roundtrip", "--max-len", "4"])
+    assert rc == 1
+    assert capsys.readouterr().out.endswith(f"\nroundtrip failed on {shown}\n")
 
 
 def test_cli_check_negative_max_len_exit_2(capsys):
@@ -275,10 +285,22 @@ def test_serializer_writes_tuple_states_under_rename_states_names(valc_machines)
         normalize_extended(stock("double_step.rca")),
         speedup(stock("toy_stationary.rca"), 1),
     ]
-    for m in constructed:
-        assert not all(isinstance(s, str) for s in m.states), m.name
+    for i, m in enumerate(constructed):
+        assert not all(isinstance(s, str) for s in m.states), i
         text = serialize_automaton(m)
-        assert text == serialize_automaton(rename_states(m)) == serialize_automaton(m), m.name
+        assert text == serialize_automaton(rename_states(m)) == serialize_automaton(m), i
+
+
+@pytest.mark.parametrize("odd", ["q 0", "#x", ""])
+def test_serializer_renames_a_state_the_parser_cannot_read_back(odd):
+    # whitespace splits a field, "#" starts a comment and "" is no field
+    from revca.core import make_automaton, rename_states
+
+    m = make_automaton(
+        [("q0", "<", "", odd, 1, ""), (odd, "a", "", odd, 1, ""), (odd, ">", "", "acc", 0, "")],
+        initial="q0", accepting=["acc"], k=0,
+    )
+    assert parse_automaton(serialize_automaton(m)) == rename_states(m)
 
 
 def test_cli_bad_file_exit_2(tmp_path, capsys):
@@ -658,6 +680,7 @@ def test_parse_reports_first_bad_field_at_its_line(case):
     with pytest.raises(FormatError) as err:
         parse_automaton(text)
     assert str(err.value) == f"line {first[0]}: {first[1]}"
+    assert err.value.line_no == first[0]
 
 
 def _parse_reference(text):

@@ -791,7 +791,7 @@ def test_constructed_machines_share_their_state_objects(valc_machines):
     # every transition, the initial state and the accepting states hold the
     # very object in ``states``, so table probes compare states by identity
     _, v1, v2, both = valc_machines["hartmanis"]
-    for m in (
+    for i, m in enumerate((
         normalize_extended(stock("double_step.rca")),
         build_valc_part_slow(stock("hartmanis.mcm"), 1),
         speedup(stock("toy_stationary.rca"), 1),
@@ -799,12 +799,12 @@ def test_constructed_machines_share_their_state_objects(valc_machines):
         v2,
         both,
         build_balanced(4),
-    ):
+    )):
         canon = {s: s for s in m.states}
         shared = [m.initial, *m.accepting]
         for t in m.transitions:
             shared += (t.state, t.target)
-        assert all(canon[s] is s for s in shared), m.name
+        assert all(canon[s] is s for s in shared), i
 
 
 # The constructions' open defects, each stated as the property it breaks on

@@ -463,6 +463,8 @@ def _validate_reference(machine):
             defects.append("empty token in alphabet")
         elif any(ch.isspace() for ch in token):
             defects.append(f"token {token!r} contains whitespace")
+        elif "#" in token:
+            defects.append(f"token {token!r} contains '#'")
         if token in ("<", ">"):
             defects.append(f"reserved endmarker {token!r} declared in alphabet")
     if machine.initial not in machine.states:
@@ -530,7 +532,7 @@ def malformed_machines(draw):
         initial=draw(st.sampled_from("px")),
         accepting=draw(st.sets(st.sampled_from("pqx"))),
         k=k,
-        alphabet=draw(st.sets(st.sampled_from(["a", "b", "<", "", "a b"]))),
+        alphabet=draw(st.sets(st.sampled_from(["a", "b", "<", "", "a b", "a#"]))),
         states="pq",
         max_delta=draw(st.integers(min_value=0, max_value=2)),
     )

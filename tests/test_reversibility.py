@@ -171,9 +171,10 @@ def test_roundtrip_on_rejected_runs_too():
 
 def test_quasi_realtime_bounds():
     m = build_eq_ab()
-    assert check_quasi_realtime(m, 1, 8).ok
+    ok = check_quasi_realtime(m, 1, 8)
+    assert ok.ok and bool(ok) is ok.ok
     report = check_quasi_realtime(m, 0, 2)
-    assert not report.ok
+    assert not report.ok and bool(report) is report.ok
     # the offending fragment ends on the stationary accept step
     frag = report.witness.fragment
     assert frag[-1].head == frag[-2].head

@@ -322,7 +322,6 @@ def test_sevenths_machine_pipeline():
             ("q3", Fraction(1, 7), "q4", "qs"),
             ("q4", Fraction(1, 7), "qs", "qf"),
         ],
-        name="sevenths",
     )
     v1, v2 = build_valc1(m), build_valc2(m)
     prod = product_intersection(v1, v2)
@@ -414,10 +413,10 @@ SLOW_PART_SHA256 = {
 def test_slow_part_serialization_is_pinned(part):
     import hashlib
 
-    for machine in (stock("hartmanis.mcm"), stock("double.mcm")):
-        slow = build_valc_part_slow(machine, part)
+    for stem in ("hartmanis", "double"):
+        slow = build_valc_part_slow(stock(f"{stem}.mcm"), part)
         digest = hashlib.sha256(serialize_automaton(slow).encode()).hexdigest()
-        assert digest == SLOW_PART_SHA256[machine.name, part], machine.name
+        assert digest == SLOW_PART_SHA256[stem, part], stem
 
 
 def _parts(value):
@@ -433,8 +432,8 @@ def test_slow_part_stationary_bounds():
     from revca.valc import STATIONARY_BUDGET
 
     bounds = {
-        (machine.name, part): _stationary_scan(build_valc_part_slow(machine, part))[1]
-        for machine in (stock("hartmanis.mcm"), stock("double.mcm"))
+        (stem, part): _stationary_scan(build_valc_part_slow(stock(f"{stem}.mcm"), part))[1]
+        for stem in ("hartmanis", "double")
         for part in (1, 2)
     }
     assert bounds == {("hartmanis", 1): 4, ("hartmanis", 2): 4, ("double", 1): 1, ("double", 2): 1}

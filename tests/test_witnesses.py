@@ -64,14 +64,6 @@ def test_decide_Lk_examples():
     assert decide_Lk(2, "aaaA$A") is False  # zero factor value
 
 
-def test_decide_Lk_agrees_with_brute_force_bounded():
-    for k in (2, 3):
-        for n in range(0, 8):
-            for tup in product("abAB$", repeat=n):
-                w = "".join(tup)
-                assert decide_Lk(k, w) == brute_force_Lk(k, w), (k, w)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=2, max_value=3), st.text(alphabet="abAB$", max_size=14))
 def test_decide_Lk_agrees_with_brute_force_random(k, w):
